@@ -19,7 +19,6 @@ from .generation import (
     BeamHypothesis,
     GenerationConfig,
     beam_search,
-    generate_question,
     greedy_decode,
     substitute_entities,
 )

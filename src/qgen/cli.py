@@ -69,7 +69,6 @@ DEFAULTS: dict[str, object] = {
     "generate.max_length": 48,
     "generate.length_alpha": 0.6,
     "seed": 0,
-    "workers": 1,
 }
 
 
@@ -210,7 +209,6 @@ def cmd_preprocess(cfg: dict) -> int:
         records, tagger, stoplist, vocab,
         max_input_ids=cfg["data.max_input_ids"],
         max_target_ids=cfg["data.max_target_ids"],
-        workers=cfg["workers"],
     )
     cache_path = cfg["paths.examples_cache"]
     save_examples(examples, cache_path)
@@ -285,7 +283,8 @@ def cmd_generate(cfg: dict, input_jsonl: str, output_jsonl: str) -> int:
         length_alpha=cfg["generate.length_alpha"],
     )
     rows = generate_batch(
-        model, records, tagger, stoplist, vocab, gen_cfg, workers=cfg["workers"]
+        model, records, tagger, stoplist, vocab, gen_cfg,
+        max_input_ids=cfg["data.max_input_ids"],
     )
     _write_jsonl(output_jsonl, rows)
     print(f"wrote {len(rows)} questions to {output_jsonl}")

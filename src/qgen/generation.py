@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import ENTITY_TAGS, EntityTagger, preprocess_pair
+from .preprocess import ENTITY_TAGS, EntityTagger, PreprocessError, preprocess_pair
+from .squad import MAX_INPUT_IDS, clip_input
 from .tensor import no_grad
 from .wordpiece import TokenSequence, Vocabulary
 from . import preprocess as _preprocess
@@ -60,33 +60,14 @@ def _stepper(model, input_ids):
     return step
 
 
-def greedy_decode(model, input_ids, cfg: GenerationConfig) -> BeamHypothesis:
-    """Argmax decoding; ties go to the smallest token id."""
-    eos = model.config.eos_id
-    with no_grad():
-        step = _stepper(model, input_ids)
-        tokens: tuple[int, ...] = ()
-        total = 0.0
-        for position in range(cfg.max_length):
-            logp = step(tokens)
-            token = eos if position == cfg.max_length - 1 else int(logp.argmax())
-            tokens += (token,)
-            total += float(logp[token])
-            if token == eos:
-                break
-    return BeamHypothesis(tokens, total, True)
+def _search(model, input_ids, cfg: GenerationConfig, width: int) -> list[BeamHypothesis]:
+    """Breadth-limited best-first decoding; returns the finished pool unsorted.
 
-
-def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]:
-    """Breadth-limited best-first decoding.
-
-    Each live hypothesis expands by its beam_width most probable tokens; the
-    beam_width best continuations by cumulative log-probability stay live.
-    Hypotheses that emit the end marker move to the finished pool; anything
-    still live at max_length is completed with the end marker and its actual
-    log-probability. The greedy completion is always merged into the pool, so
-    widening the beam never ranks below greedy. Finished hypotheses are ranked
-    by log-probability / length^alpha with ties broken by token ids.
+    Each live hypothesis expands by its width most probable tokens (ties go
+    to the smallest token id); the width best continuations by cumulative
+    log-probability stay live. Hypotheses that emit the end marker move to
+    the finished pool; anything still live at max_length is completed with
+    the end marker and its actual log-probability.
     """
     eos = model.config.eos_id
     finished: list[BeamHypothesis] = []
@@ -101,7 +82,7 @@ def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]
                     picks = [eos]
                 else:
                     order = np.lexsort((np.arange(len(logp)), -logp))
-                    picks = [int(t) for t in order[: cfg.beam_width]]
+                    picks = [int(t) for t in order[:width]]
                 candidates.extend(
                     (tokens + (t,), total + float(logp[t])) for t in picks
                 )
@@ -112,9 +93,25 @@ def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]
                 else:
                     live.append((tokens, total))
             live.sort(key=lambda c: (-c[1], c[0]))
-            live = live[: cfg.beam_width]
+            live = live[:width]
             if not live:
                 break
+    return finished
+
+
+def greedy_decode(model, input_ids, cfg: GenerationConfig) -> BeamHypothesis:
+    """Argmax decoding, the width-1 beam; ties go to the smallest token id."""
+    return _search(model, input_ids, cfg, 1)[0]
+
+
+def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]:
+    """The cfg.beam_width search, best first.
+
+    The greedy completion is always merged into the pool, so widening the
+    beam never ranks below greedy. Finished hypotheses are ranked by
+    log-probability / length^alpha with ties broken by token ids.
+    """
+    finished = _search(model, input_ids, cfg, cfg.beam_width)
     if cfg.beam_width > 1:
         greedy = greedy_decode(model, input_ids, cfg)
         if all(h.tokens != greedy.tokens for h in finished):
@@ -137,24 +134,6 @@ def substitute_entities(question: str, entity_map: dict[str, list[str]]) -> str:
     return pattern.sub(repl, question)
 
 
-def generate_question(
-    model,
-    passage: str,
-    answer: str,
-    tagger: EntityTagger,
-    stoplist: frozenset[str],
-    vocab: Vocabulary,
-    cfg: GenerationConfig,
-) -> tuple[str, dict[str, list[str]]]:
-    """Preprocess, beam-search, post-process. Returns the tagged question text
-    and the entity map needed to substitute surfaces back in."""
-    input_seq, tagged = preprocess_pair(answer, passage, tagger, stoplist, vocab)
-    hyps = beam_search(model, np.array(input_seq.ids, dtype=np.int64), cfg)
-    best = hyps[0]
-    seq = TokenSequence.from_ids(best.tokens, vocab)
-    return _preprocess.postprocess_question(seq), tagged.entity_map
-
-
 def generate_batch(
     model,
     records: list[dict],
@@ -162,28 +141,32 @@ def generate_batch(
     stoplist: frozenset[str],
     vocab: Vocabulary,
     cfg: GenerationConfig,
-    workers: int = 1,
+    max_input_ids: int = MAX_INPUT_IDS,
 ) -> list[dict]:
     """Decode {id, passage, answer} records into
-    {id, question_tagged, question_substituted, score}, preserving order."""
+    {id, question_tagged, question_substituted, score}, preserving order.
 
-    def one(record: dict) -> dict:
-        input_seq, tagged = preprocess_pair(
-            record["answer"], record["passage"], tagger, stoplist, vocab
-        )
-        hyps = beam_search(model, np.array(input_seq.ids, dtype=np.int64), cfg)
-        best = hyps[0]
+    Inputs are clipped as invert clips them, to at most max_input_ids and the
+    model's max_positions pieces.
+    """
+    limit = min(max_input_ids, model.config.max_positions)
+    rows = []
+    for record in records:
+        try:
+            input_seq, tagged = preprocess_pair(
+                record["answer"], record["passage"], tagger, stoplist, vocab
+            )
+            input_ids = clip_input(input_seq.ids, limit, vocab.separator_id)
+        except (PreprocessError, ValueError) as exc:
+            raise PreprocessError(f"record {record['id']}: {exc}") from exc
+        best = beam_search(model, np.array(input_ids, dtype=np.int64), cfg)[0]
         question = _preprocess.postprocess_question(
             TokenSequence.from_ids(best.tokens, vocab)
         )
-        return {
+        rows.append({
             "id": record["id"],
             "question_tagged": question,
             "question_substituted": substitute_entities(question, tagged.entity_map),
             "score": best.score(cfg.length_alpha),
-        }
-
-    if workers <= 1:
-        return [one(r) for r in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, records))
+        })
+    return rows

@@ -50,10 +50,6 @@ class TaggedPassage:
     text: str
     entity_map: dict[str, list[str]] = field(default_factory=dict)
 
-    def surface_for(self, tag: str, index: int) -> str | None:
-        forms = self.entity_map.get(tag, [])
-        return forms[index] if 0 <= index < len(forms) else None
-
 
 class EntityTagger(Protocol):
     """Anything that maps raw text to a list of EntitySpan."""

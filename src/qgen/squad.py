@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +121,15 @@ def select_answer(answers: list[tuple[str, int]]) -> tuple[str, int]:
     )
 
 
+def clip_input(input_ids: list[int], max_ids: int, separator_id: int) -> list[int]:
+    """Keep the first max_ids pieces, dropping passage tail pieces only; the
+    answer and its separator must survive."""
+    clipped = input_ids[:max_ids]
+    if separator_id not in clipped:
+        raise PreprocessError(f"answer and separator do not fit in {max_ids} input ids")
+    return clipped
+
+
 def invert(
     records: list[SquadRecord],
     tagger: EntityTagger,
@@ -129,40 +137,32 @@ def invert(
     vocab: Vocabulary,
     max_input_ids: int = MAX_INPUT_IDS,
     max_target_ids: int = MAX_TARGET_IDS,
-    workers: int = 1,
 ) -> list[InvertedExample]:
     """Turn records into (input ids, target ids) pairs, sorted by question id.
 
     The question is lowercased, entity-tagged with the passage's index map,
-    and keeps its stop words. Over-long inputs drop passage tail pieces only;
-    over-long questions are truncated before the closing marker. Records may
-    be processed by a bounded worker pool; output order is id-sorted either way.
+    and keeps its stop words. Over-long inputs are clipped by clip_input;
+    over-long questions are truncated before the closing marker.
     """
-
-    def one(rec: SquadRecord) -> InvertedExample:
+    examples = []
+    for rec in sorted(records, key=lambda r: r.question_id):
         try:
             answer_text, _ = select_answer(rec.answers)
             input_seq, tagged = preprocess_pair(
                 answer_text, rec.passage, tagger, stoplist, vocab
             )
+            input_ids = clip_input(input_seq.ids, max_input_ids, vocab.separator_id)
             question_seq, _ = tagged_wordpieces(
                 rec.question, tagger, vocab, stoplist=None,
                 entity_map=tagged.entity_map, source="question",
             )
         except (PreprocessError, ValueError) as exc:
             raise PreprocessError(f"question {rec.question_id}: {exc}") from exc
-        input_ids = input_seq.ids[:max_input_ids]
-        assert vocab.separator_id in input_ids, "separator truncated away"
         target_ids = (
             [vocab.bos_id] + question_seq.ids[: max_target_ids - 2] + [vocab.eos_id]
         )
-        return InvertedExample(rec.question_id, input_ids, target_ids)
-
-    ordered = sorted(records, key=lambda r: r.question_id)
-    if workers <= 1:
-        return [one(rec) for rec in ordered]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, ordered))
+        examples.append(InvertedExample(rec.question_id, input_ids, target_ids))
+    return examples
 
 
 def bucket_by_length(

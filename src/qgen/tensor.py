@@ -267,16 +267,6 @@ def tsum(a) -> Tensor:
     return out
 
 
-def tmean(a) -> Tensor:
-    """Mean of all entries as a scalar."""
-    a = _as_tensor(a)
-    n = a.data.size
-    out = _result(np.asarray(a.data.mean()), (a,))
-    if out.requires_grad:
-        out._backward = lambda g: (np.broadcast_to(g / n, a.shape).copy(),)
-    return out
-
-
 def softmax_rows(a) -> Tensor:
     """Softmax over the last axis, computed with max-subtraction.
 
@@ -410,34 +400,6 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
         splits = np.cumsum(sizes)[:-1]
         out._backward = lambda g: tuple(np.split(g, splits, axis=-1))
     return out
-
-
-def slice_last(a, start: int, stop: int) -> Tensor:
-    """Slice [start:stop] along the last axis."""
-    a = _as_tensor(a)
-    d = a.shape[-1]
-    if not 0 <= start < stop <= d:
-        raise ShapeError(f"slice_last: [{start}:{stop}] invalid for last dim {d}")
-    out = _result(a.data[..., start:stop].copy(), (a,))
-    if out.requires_grad:
-        def _bw(g):
-            ga = np.zeros(a.shape)
-            ga[..., start:stop] = g
-            return (ga,)
-        out._backward = _bw
-    return out
-
-
-def split_last(a, sizes: Sequence[int]) -> list[Tensor]:
-    """Split along the last axis into chunks of the given sizes."""
-    a = _as_tensor(a)
-    if sum(sizes) != a.shape[-1]:
-        raise ShapeError(f"split_last: sizes {list(sizes)} do not sum to {a.shape[-1]}")
-    outs, start = [], 0
-    for s in sizes:
-        outs.append(slice_last(a, start, start + s))
-        start += s
-    return outs
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:

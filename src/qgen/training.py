@@ -12,7 +12,7 @@ import numpy as np
 
 from .model import TransformerModel, read_container, write_container
 from .squad import Bucket
-from .tensor import ShapeError, Tensor, backward, cross_entropy_with_logits, no_grad
+from .tensor import ShapeError, backward, cross_entropy_with_logits, no_grad
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
@@ -95,12 +95,6 @@ class TrainState:
         return state
 
 
-def loss(logits: Tensor, target_ids: np.ndarray, pad_id: int,
-         label_smoothing: float = 0.0) -> Tensor:
-    """Mean cross-entropy over non-padding target positions."""
-    return cross_entropy_with_logits(logits, target_ids, pad_id, label_smoothing)
-
-
 def clip_gradients(model: TransformerModel, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm."""
     total = 0.0
@@ -143,7 +137,9 @@ def train_step(model: TransformerModel, batch, state: TrainState,
     drop_rng = state.rng if model.config.dropout > 0 else None
     try:
         logits = model.forward(inputs, targets[:, :-1], rng=drop_rng)
-        step_loss = loss(logits, targets[:, 1:], pad_id, config.label_smoothing)
+        step_loss = cross_entropy_with_logits(
+            logits, targets[:, 1:], pad_id, config.label_smoothing
+        )
         value = step_loss.item()
     except ShapeError:
         raise

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import DATA_DIR
 from corpus_fixtures import SUPER_BOWL_PASSAGE, SUPER_BOWL_TAGGED, WER_PAIRS
-from test_generation import TableModel, enumerate_best, small_model
+from test_generation import TableModel, enumerate_best, reference_greedy, small_model
 from test_model import naive_attention
 
 from qgen.cli import main as cli_main
@@ -22,8 +22,8 @@ from qgen.generation import GenerationConfig, beam_search, greedy_decode
 from qgen.model import ModelConfig, MultiHeadParams, TransformerModel, attention, multi_head
 from qgen.preprocess import tagged_wordpieces
 from qgen.squad import bucket_by_length, invert, load_squad
-from qgen.tensor import Tensor, check_gradients
-from qgen.training import TrainConfig, TrainState, loss, teacher_forced_accuracy, train_step
+from qgen.tensor import Tensor, check_gradients, cross_entropy_with_logits
+from qgen.training import TrainConfig, TrainState, teacher_forced_accuracy, train_step
 from qgen.wordpiece import UNK, TokenSequence, detokenize, tokenize
 
 
@@ -162,7 +162,7 @@ def test_c06_full_model_gradient_check():
     dec_in = np.column_stack([np.full(2, 2), tgt[:, :-1]])
 
     def f():
-        return loss(model.forward(src, dec_in), tgt, pad_id=0)
+        return cross_entropy_with_logits(model.forward(src, dec_in), tgt, pad_id=0)
 
     started = time.perf_counter()
     worst_name, worst_err = "", 0.0
@@ -238,7 +238,9 @@ def test_c09_beam_search():
     greedy_mismatches = 0
     for _ in range(50):
         ids = rng.integers(4, 10, size=rng.integers(2, 7))
-        if beam_search(model, ids, cfg1)[0].tokens != greedy_decode(model, ids, cfg1).tokens:
+        want = reference_greedy(model, ids, cfg1.max_length).tokens
+        if beam_search(model, ids, cfg1)[0].tokens != want or \
+                greedy_decode(model, ids, cfg1).tokens != want:
             greedy_mismatches += 1
 
     cfg4 = GenerationConfig(beam_width=4, max_length=3, length_alpha=0.6)

@@ -79,6 +79,13 @@ class TestPreprocess:
         assert main(argv) == EXIT_INPUT
         assert "paragraphs" in capsys.readouterr().err
 
+    def test_unfit_answer_exits_2_naming_the_question(self, tmp_path, capsys):
+        code, cache, _ = run_preprocess(tmp_path, ["--data.max_input_ids", "2"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: question " in err and "2 input ids" in err
+        assert not cache.exists()
+
 
 class TestPipeline:
     def test_train_generate_evaluate(self, tmp_path):

@@ -10,12 +10,12 @@ from qgen.generation import (
     GenerationConfig,
     beam_search,
     generate_batch,
-    generate_question,
     greedy_decode,
     substitute_entities,
 )
 from qgen.model import ModelConfig, TransformerModel
-from qgen.tensor import Tensor
+from qgen.preprocess import PreprocessError, preprocess_pair
+from qgen.tensor import Tensor, no_grad
 
 
 class TableModel:
@@ -59,6 +59,26 @@ def enumerate_best(table, cfg, eos):
     return best[1]
 
 
+def reference_greedy(model, input_ids, max_length):
+    """Argmax decoding written out apart from qgen.generation's search: ties
+    go to the smallest token id, and the end marker is forced at max_length."""
+    bos, eos = model.config.bos_id, model.config.eos_id
+    with no_grad():
+        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
+        tokens, total = (), 0.0
+        for position in range(max_length):
+            dec_in = np.array([bos, *tokens], dtype=np.int64)
+            row = model.decode(enc_out, src_ids, dec_in).data[-1]
+            shifted = row - row.max()
+            logp = shifted - np.log(np.exp(shifted).sum())
+            token = eos if position == max_length - 1 else int(logp.argmax())
+            tokens += (token,)
+            total += float(logp[token])
+            if token == eos:
+                break
+    return BeamHypothesis(tokens, total, True)
+
+
 def small_model(seed=0, vocab_size=10):
     cfg = ModelConfig(vocab_size=vocab_size, d_model=8, num_heads=2, enc_layers=1,
                       dec_layers=1, d_ff=16, max_positions=16, dropout=0.0,
@@ -83,10 +103,10 @@ class TestBeamSearch:
         for seed in range(10):
             model = small_model(seed=seed)
             ids = rng.integers(4, 10, size=5)
-            greedy = greedy_decode(model, ids, cfg)
-            beamed = beam_search(model, ids, cfg)[0]
-            assert beamed.tokens == greedy.tokens
-            assert beamed.log_prob == pytest.approx(greedy.log_prob, abs=1e-12)
+            want = reference_greedy(model, ids, cfg.max_length)
+            for got in (greedy_decode(model, ids, cfg), beam_search(model, ids, cfg)[0]):
+                assert got.tokens == want.tokens
+                assert got.log_prob == pytest.approx(want.log_prob, abs=1e-12)
 
     def test_beam_four_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(42)
@@ -173,14 +193,19 @@ class TestGenerateQuestion:
     def test_output_is_clean(self, tagger, stoplist, vocab):
         model = small_model(seed=6, vocab_size=len(vocab))
         cfg = GenerationConfig(beam_width=2, max_length=5)
-        question, entity_map = generate_question(
-            model, "The gold was found in Warsaw.", "gold",
+        passage, answer = "The gold was found in Warsaw.", "gold"
+        row, = generate_batch(
+            model, [{"id": "r0", "passage": passage, "answer": answer}],
             tagger, stoplist, vocab, cfg,
         )
+        question = row["question_tagged"]
         assert "##" not in question
         for marker in ("[PAD]", "[BOS]", "[EOS]"):
             assert marker not in question
-        assert entity_map["GPE"] == ["Warsaw"]
+        _, tagged = preprocess_pair(answer, passage, tagger, stoplist, vocab)
+        assert tagged.entity_map["GPE"] == ["Warsaw"]
+        assert row["question_substituted"] == \
+            substitute_entities(question, tagged.entity_map)
 
     def test_batch_order_stable_across_workers(self, tagger, stoplist, vocab):
         model = small_model(seed=7, vocab_size=len(vocab))
@@ -189,7 +214,36 @@ class TestGenerateQuestion:
             {"id": f"r{i}", "passage": "The gold was found in Warsaw.", "answer": "gold"}
             for i in range(4)
         ]
-        serial = generate_batch(model, records, tagger, stoplist, vocab, cfg, workers=1)
-        threaded = generate_batch(model, records, tagger, stoplist, vocab, cfg, workers=3)
-        assert serial == threaded
-        assert [r["id"] for r in serial] == ["r0", "r1", "r2", "r3"]
+        rows = generate_batch(model, records, tagger, stoplist, vocab, cfg)
+        assert [r["id"] for r in rows] == ["r0", "r1", "r2", "r3"]
+        assert all(row == {**rows[0], "id": row["id"]} for row in rows)
+
+    def test_long_passage_is_clipped_to_max_positions(self, tagger, stoplist, vocab,
+                                                      monkeypatch):
+        model = small_model(seed=8, vocab_size=len(vocab))
+        passage = " ".join(["The gold was found in Warsaw."] * 10)
+        full, _ = preprocess_pair("gold", passage, tagger, stoplist, vocab)
+        assert len(full.ids) > model.config.max_positions
+        searched = []
+
+        def spy(model, input_ids, cfg):
+            searched.append(list(input_ids))
+            return beam_search(model, input_ids, cfg)
+
+        monkeypatch.setattr("qgen.generation.beam_search", spy)
+        cfg = GenerationConfig(beam_width=2, max_length=4)
+        record = {"id": "long", "passage": passage, "answer": "gold"}
+        rows = generate_batch(model, [record], tagger, stoplist, vocab, cfg)
+        assert [r["id"] for r in rows] == ["long"]
+        assert searched == [full.ids[: model.config.max_positions]]
+        generate_batch(model, [record], tagger, stoplist, vocab, cfg, max_input_ids=12)
+        assert searched[-1] == full.ids[:12]
+
+    def test_unfit_answer_names_the_record(self, tagger, stoplist, vocab):
+        model = small_model(seed=8, vocab_size=len(vocab))
+        cfg = GenerationConfig(beam_width=2, max_length=4)
+        record = {"id": "r-short", "passage": "The gold was found in Warsaw.",
+                  "answer": "gold"}
+        with pytest.raises(PreprocessError, match="record r-short"):
+            generate_batch(model, [record], tagger, stoplist, vocab, cfg,
+                           max_input_ids=1)

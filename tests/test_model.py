@@ -13,8 +13,7 @@ from qgen.model import (
     read_container,
     write_container,
 )
-from qgen.tensor import ShapeError, Tensor, check_gradients
-from qgen.training import loss as training_loss
+from qgen.tensor import ShapeError, Tensor, check_gradients, cross_entropy_with_logits
 
 
 def small_config(**kw):
@@ -228,7 +227,7 @@ class TestModelGradients:
         dec_in = np.concatenate([[[2]], tgt[:, :-1]], axis=1)
 
         def f():
-            return training_loss(model.forward(src, dec_in), tgt, pad_id=0)
+            return cross_entropy_with_logits(model.forward(src, dec_in), tgt, pad_id=0)
 
         picked = ["embed", "enc0.attn.wq0", "enc0.ffn.w1", "dec0.cross_attn.wo",
                   "dec_norm.gain"]

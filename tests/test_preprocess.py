@@ -216,4 +216,4 @@ class TestPostprocessQuestion:
             "Denver Broncos", SUPER_BOWL_PASSAGE, tagger, stoplist, vocab
         )
         assert tagged.text.startswith("EVENT 0 DATE 0 was an NORP 0 football game")
-        assert tagged.surface_for("ORG", 3) == "Denver Broncos"
+        assert tagged.entity_map["ORG"][3] == "Denver Broncos"

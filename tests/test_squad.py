@@ -17,7 +17,7 @@ from qgen.squad import (
     select_answer,
 )
 from qgen.wordpiece import TokenSequence
-from qgen.preprocess import postprocess_question
+from qgen.preprocess import PreprocessError, postprocess_question
 
 
 def minimal_doc(qas):
@@ -139,6 +139,12 @@ class TestInvert:
             assert vocab.separator_id in ex.input_ids
             assert ex.target_ids[-1] == vocab.eos_id
 
+    def test_unfit_answer_is_a_preprocess_error_naming_the_question(
+            self, records, tagger, stoplist, vocab):
+        first = min(r.question_id for r in records)
+        with pytest.raises(PreprocessError, match=f"question {first}: .*2 input ids"):
+            invert(records, tagger, stoplist, vocab, max_input_ids=2)
+
 
 class TestBucketByLength:
     def test_all_fit_first_bucket(self):
@@ -191,11 +197,3 @@ class TestExampleCache:
         path.write_text('{"format": "other", "version": 9}\n', encoding="utf-8")
         with pytest.raises(SchemaError):
             load_examples(path)
-
-
-class TestInvertWorkers:
-    def test_worker_pool_is_order_stable(self, records, tagger, stoplist, vocab):
-        serial = invert(records, tagger, stoplist, vocab, workers=1)
-        pooled = invert(records, tagger, stoplist, vocab, workers=4)
-        assert [(e.question_id, e.input_ids, e.target_ids) for e in serial] == \
-               [(e.question_id, e.input_ids, e.target_ids) for e in pooled]

@@ -7,7 +7,7 @@ import pytest
 
 from qgen.model import ModelConfig, TransformerModel
 from qgen.squad import Bucket, InvertedExample
-from qgen.tensor import Tensor
+from qgen.tensor import Tensor, cross_entropy_with_logits
 from qgen.training import (
     NumericalError,
     TrainConfig,
@@ -16,7 +16,6 @@ from qgen.training import (
     clip_gradients,
     learning_rate,
     load_checkpoint,
-    loss,
     save_checkpoint,
     teacher_forced_accuracy,
     train,
@@ -52,7 +51,7 @@ def batch_from(bucket, pad_id=0):
 class TestLoss:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((1, 4, 9)))
-        out = loss(logits, np.array([[1, 2, 3, 4]]), pad_id=0)
+        out = cross_entropy_with_logits(logits, np.array([[1, 2, 3, 4]]), pad_id=0)
         assert out.item() == pytest.approx(math.log(9), abs=1e-12)
 
     def test_margin_drives_loss_to_zero(self):
@@ -62,7 +61,8 @@ class TestLoss:
             logits = np.zeros((1, 2, 4))
             logits[0, 0, 1] = margin
             logits[0, 1, 2] = margin
-            values.append(loss(Tensor(logits), targets, pad_id=0).item())
+            out = cross_entropy_with_logits(Tensor(logits), targets, pad_id=0)
+            values.append(out.item())
         assert values[0] > values[1] > values[2]
         assert values[2] < 1e-10
 
@@ -74,12 +74,14 @@ class TestLoss:
             return row[idx] - math.log(sum(math.exp(x) for x in row))
 
         expected = -(log_softmax(logits[0, 0], 0) + log_softmax(logits[0, 1], 2)) / 2
-        got = loss(Tensor(logits), targets, pad_id=None).item()
+        got = cross_entropy_with_logits(Tensor(logits), targets, pad_id=None).item()
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_all_pad_rejected(self):
         with pytest.raises(ValueError, match="padding"):
-            loss(Tensor(np.zeros((1, 2, 4))), np.array([[0, 0]]), pad_id=0)
+            cross_entropy_with_logits(
+                Tensor(np.zeros((1, 2, 4))), np.array([[0, 0]]), pad_id=0
+            )
 
 
 class TestLearningRate:
