@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import DecodeCache
 from .preprocess import ENTITY_TAGS, EntityTagger, PreprocessError, preprocess_pair
 from .squad import MAX_INPUT_IDS, clip_input
 from .tensor import no_grad
@@ -42,22 +43,9 @@ class BeamHypothesis:
         return self.log_prob / (len(self.tokens) ** alpha)
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
-def _stepper(model, input_ids):
-    """Encode once; return a closure mapping a prefix to next-token log-probs."""
-    enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
-    bos = model.config.bos_id
-
-    def step(prefix: tuple[int, ...]) -> np.ndarray:
-        dec_in = np.array([bos, *prefix], dtype=np.int64)
-        logits = model.decode(enc_out, src_ids, dec_in)
-        return _log_softmax(logits.data[-1])
-
-    return step
+def _log_softmax(rows: np.ndarray) -> np.ndarray:
+    shifted = rows - rows.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _search(model, input_ids, cfg: GenerationConfig, width: int) -> list[BeamHypothesis]:
@@ -67,35 +55,42 @@ def _search(model, input_ids, cfg: GenerationConfig, width: int) -> list[BeamHyp
     to the smallest token id); the width best continuations by cumulative
     log-probability stay live. Hypotheses that emit the end marker move to
     the finished pool; anything still live at max_length is completed with
-    the end marker and its actual log-probability.
+    the end marker and its actual log-probability. Each step is one decoder
+    call on the last tokens of all live hypotheses, whose earlier positions
+    the model keeps in a DecodeCache.
     """
     eos = model.config.eos_id
     finished: list[BeamHypothesis] = []
     with no_grad():
-        step = _stepper(model, input_ids)
-        live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
+        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
+        cache = DecodeCache()
+        # (tokens, log-probability, cache row)
+        live: list[tuple[tuple[int, ...], float, int]] = [((), 0.0, 0)]
+        last = np.array([[model.config.bos_id]], dtype=np.int64)
         for position in range(1, cfg.max_length + 1):
-            candidates: list[tuple[tuple[int, ...], float]] = []
-            for tokens, total in live:
-                logp = step(tokens)
-                if position == cfg.max_length:
-                    picks = [eos]
-                else:
-                    order = np.lexsort((np.arange(len(logp)), -logp))
-                    picks = [int(t) for t in order[:width]]
-                candidates.extend(
-                    (tokens + (t,), total + float(logp[t])) for t in picks
-                )
+            logits = model.decode(enc_out, src_ids, last, cache=cache)
+            logp = _log_softmax(logits.data[:, -1])
+            if position == cfg.max_length:
+                picks = np.full((len(live), 1), eos)
+            else:
+                picks = np.argsort(-logp, axis=-1, kind="stable")[:, :width]
+            candidates = [
+                (tokens + (int(t),), total + float(logp[row, t]), row)
+                for row, (tokens, total, _) in enumerate(live)
+                for t in picks[row]
+            ]
             live = []
-            for tokens, total in candidates:
+            for tokens, total, row in candidates:
                 if tokens[-1] == eos:
                     finished.append(BeamHypothesis(tokens, total, True))
                 else:
-                    live.append((tokens, total))
+                    live.append((tokens, total, row))
             live.sort(key=lambda c: (-c[1], c[0]))
             live = live[:width]
             if not live:
                 break
+            cache.select([row for _, _, row in live])
+            last = np.array([[tokens[-1]] for tokens, _, _ in live], dtype=np.int64)
     return finished
 
 

@@ -100,63 +100,101 @@ def attention(q, k, v, mask=None) -> Tensor:
 
 
 class MultiHeadParams:
-    """Per-head query/key/value projections plus the shared output projection."""
+    """Per-head query/key/value projections plus the shared output projection.
 
-    def __init__(self, d_model: int, num_heads: int, rng: np.random.Generator, prefix: str):
-        d_head = d_model // num_heads
+    init is a numpy Generator that draws fresh values, or the stored
+    arrays of a checkpoint (see _param).
+    """
+
+    def __init__(self, d_model: int, num_heads: int, init, prefix: str):
+        shape = (d_model, d_model // num_heads)
         self.num_heads = num_heads
         self.d_model = d_model
-        self.wq = [
-            Parameter(_xavier(rng, d_model, d_head), f"{prefix}.wq{i}")
-            for i in range(num_heads)
-        ]
-        self.wk = [
-            Parameter(_xavier(rng, d_model, d_head), f"{prefix}.wk{i}")
-            for i in range(num_heads)
-        ]
-        self.wv = [
-            Parameter(_xavier(rng, d_model, d_head), f"{prefix}.wv{i}")
-            for i in range(num_heads)
-        ]
-        self.wo = Parameter(_xavier(rng, d_model, d_model), f"{prefix}.wo")
+        self.wq = [_param(init, f"{prefix}.wq{i}", shape, _xavier) for i in range(num_heads)]
+        self.wk = [_param(init, f"{prefix}.wk{i}", shape, _xavier) for i in range(num_heads)]
+        self.wv = [_param(init, f"{prefix}.wv{i}", shape, _xavier) for i in range(num_heads)]
+        self.wo = _param(init, f"{prefix}.wo", (d_model, d_model), _xavier)
+
+    def keys_values(self, x) -> tuple[Tensor, Tensor]:
+        """x projected to per-head keys and values, each (..., h, m, d_head)."""
+        return _heads(x, self.wk, self.num_heads), _heads(x, self.wv, self.num_heads)
 
     def parameters(self) -> list[Parameter]:
         return [*self.wq, *self.wk, *self.wv, self.wo]
 
 
-def multi_head(x_q, params: MultiHeadParams, mask=None, x_kv=None) -> Tensor:
+def _heads(x, weights, num_heads: int) -> Tensor:
+    """x times the per-head weights, side by side, with the heads moved to
+    their own axis: (..., m, d_model) -> (..., h, m, d_head)."""
+    packed = matmul(x, concat_last(weights))  # (..., m, d_model)
+    split = reshape(packed, (*x.shape[:-1], num_heads, packed.shape[-1] // num_heads))
+    return swap_axes(split, -3, -2)
+
+
+def multi_head(x_q, params: MultiHeadParams, mask=None, x_kv=None, kv=None) -> Tensor:
     """Multi-head attention: project per head, attend, concatenate, project out.
 
     x_kv defaults to x_q (self-attention); pass the encoder output for
-    cross-attention. Heads are evaluated together by stacking them on a
-    leading axis, which is numerically identical to looping per head.
+    cross-attention. kv, if given, is the keys and values already projected
+    (params.keys_values) and x_kv is not used. Heads are evaluated together
+    by stacking them on a leading axis, which is numerically identical to
+    looping per head.
     """
     if x_kv is None:
         x_kv = x_q
     if x_q.shape[-1] != params.d_model:
         raise ShapeError(f"multi_head: input width {x_q.shape} != {params.d_model}")
-    h, dh = params.num_heads, params.d_model // params.num_heads
-
-    def project(x, weights):
-        packed = matmul(x, concat_last(weights))  # (..., m, d_model)
-        split = reshape(packed, (*x.shape[:-1], h, dh))
-        return swap_axes(split, -3, -2)  # (..., h, m, d_head)
-
-    q, k, v = project(x_q, params.wq), project(x_kv, params.wk), project(x_kv, params.wv)
+    q = _heads(x_q, params.wq, params.num_heads)
+    k, v = params.keys_values(x_kv) if kv is None else kv
     heads = attention(q, k, v, mask)  # (..., h, m, d_head)
     merged = reshape(swap_axes(heads, -3, -2), (*x_q.shape[:-1], params.d_model))
     return matmul(merged, params.wo)
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+def _xavier(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _ones(rng, shape) -> np.ndarray:
+    return np.ones(shape)
+
+
+def _zeros(rng, shape) -> np.ndarray:
+    return np.zeros(shape)
+
+
+class _Stored:
+    """Parameter values read from a checkpoint, handed out by name."""
+
+    def __init__(self, path, arrays: dict[str, np.ndarray]):
+        self.path = path
+        self.arrays = arrays
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        stored = self.arrays.get(name)
+        if stored is None:
+            raise ValueError(f"checkpoint {self.path} parameter names do not match config")
+        if stored.shape != shape:
+            raise ValueError(
+                f"checkpoint {self.path}: {name} has shape {stored.shape}, "
+                f"expected {shape}"
+            )
+        return stored
+
+
+def _param(init, name: str, shape: tuple[int, ...], fill) -> Parameter:
+    """A new parameter: the array stored under name when init is _Stored,
+    else fill(init, shape), drawn from the generator init."""
+    if isinstance(init, _Stored):
+        return Parameter(init.take(name, shape), name)
+    return Parameter(fill(init, shape), name)
 
 
 class _LayerNormParams:
-    def __init__(self, d: int, prefix: str):
-        self.gain = Parameter(np.ones(d), f"{prefix}.gain")
-        self.bias = Parameter(np.zeros(d), f"{prefix}.bias")
+    def __init__(self, d: int, init, prefix: str):
+        self.gain = _param(init, f"{prefix}.gain", (d,), _ones)
+        self.bias = _param(init, f"{prefix}.bias", (d,), _zeros)
 
     def __call__(self, x) -> Tensor:
         return layer_norm(x, self.gain, self.bias)
@@ -166,11 +204,11 @@ class _LayerNormParams:
 
 
 class _FeedForward:
-    def __init__(self, d_model: int, d_ff: int, rng, prefix: str):
-        self.w1 = Parameter(_xavier(rng, d_model, d_ff), f"{prefix}.w1")
-        self.b1 = Parameter(np.zeros(d_ff), f"{prefix}.b1")
-        self.w2 = Parameter(_xavier(rng, d_ff, d_model), f"{prefix}.w2")
-        self.b2 = Parameter(np.zeros(d_model), f"{prefix}.b2")
+    def __init__(self, d_model: int, d_ff: int, init, prefix: str):
+        self.w1 = _param(init, f"{prefix}.w1", (d_model, d_ff), _xavier)
+        self.b1 = _param(init, f"{prefix}.b1", (d_ff,), _zeros)
+        self.w2 = _param(init, f"{prefix}.w2", (d_ff, d_model), _xavier)
+        self.b2 = _param(init, f"{prefix}.b2", (d_model,), _zeros)
 
     def __call__(self, x) -> Tensor:
         return add(matmul(relu(add(matmul(x, self.w1), self.b1)), self.w2), self.b2)
@@ -180,11 +218,11 @@ class _FeedForward:
 
 
 class _EncoderLayer:
-    def __init__(self, cfg: ModelConfig, rng, prefix: str):
-        self.ln1 = _LayerNormParams(cfg.d_model, f"{prefix}.ln1")
-        self.attn = MultiHeadParams(cfg.d_model, cfg.num_heads, rng, f"{prefix}.attn")
-        self.ln2 = _LayerNormParams(cfg.d_model, f"{prefix}.ln2")
-        self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, rng, f"{prefix}.ffn")
+    def __init__(self, cfg: ModelConfig, init, prefix: str):
+        self.ln1 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln1")
+        self.attn = MultiHeadParams(cfg.d_model, cfg.num_heads, init, f"{prefix}.attn")
+        self.ln2 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln2")
+        self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, init, f"{prefix}.ffn")
         self.rate = cfg.dropout
 
     def __call__(self, x, mask, rng) -> Tensor:
@@ -199,21 +237,32 @@ class _EncoderLayer:
 
 
 class _DecoderLayer:
-    def __init__(self, cfg: ModelConfig, rng, prefix: str):
-        self.ln1 = _LayerNormParams(cfg.d_model, f"{prefix}.ln1")
-        self.self_attn = MultiHeadParams(cfg.d_model, cfg.num_heads, rng, f"{prefix}.self_attn")
-        self.ln2 = _LayerNormParams(cfg.d_model, f"{prefix}.ln2")
-        self.cross_attn = MultiHeadParams(cfg.d_model, cfg.num_heads, rng, f"{prefix}.cross_attn")
-        self.ln3 = _LayerNormParams(cfg.d_model, f"{prefix}.ln3")
-        self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, rng, f"{prefix}.ffn")
+    def __init__(self, cfg: ModelConfig, init, prefix: str):
+        self.ln1 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln1")
+        self.self_attn = MultiHeadParams(cfg.d_model, cfg.num_heads, init,
+                                         f"{prefix}.self_attn")
+        self.ln2 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln2")
+        self.cross_attn = MultiHeadParams(cfg.d_model, cfg.num_heads, init,
+                                          f"{prefix}.cross_attn")
+        self.ln3 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln3")
+        self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, init, f"{prefix}.ffn")
         self.rate = cfg.dropout
 
-    def __call__(self, x, enc_out, self_mask, cross_mask, rng) -> Tensor:
-        x = add(x, dropout(multi_head(self.ln1(x), self.self_attn, self_mask), self.rate, rng))
+    def __call__(self, x, enc_out, self_mask, cross_mask, rng, cache, index) -> Tensor:
+        """cache, if given, holds this layer's keys and values under index;
+        the new rows' self-attention keys and values are appended to it."""
+        h = self.ln1(x)
+        self_kv = cross_kv = None
+        if cache is not None:
+            self_kv = cache.extend(index, *self.self_attn.keys_values(h))
+            cross_kv = cache.cross(index, self.cross_attn, enc_out)
+        x = add(x, dropout(multi_head(h, self.self_attn, self_mask, kv=self_kv),
+                           self.rate, rng))
         x = add(
             x,
             dropout(
-                multi_head(self.ln2(x), self.cross_attn, cross_mask, x_kv=enc_out),
+                multi_head(self.ln2(x), self.cross_attn, cross_mask, x_kv=enc_out,
+                           kv=cross_kv),
                 self.rate,
                 rng,
             ),
@@ -228,29 +277,79 @@ class _DecoderLayer:
         ]
 
 
+def _grow(old: np.ndarray | None, new: np.ndarray, axis: int) -> np.ndarray:
+    return new if old is None else np.concatenate([old, new], axis=axis)
+
+
+class DecodeCache:
+    """What incremental decoding carries from one decode call to the next.
+
+    Per decoded row (beam): each decoder layer's self-attention keys and
+    values so far, and the additive mask hiding the [PAD] ones among them.
+    Shared by every row: each decoder layer's cross-attention keys and
+    values, projected once from the encoder output of the first call (one
+    source, broadcast over the rows). length counts the decoded positions.
+    The cache serves inference; gradients do not flow through it.
+    """
+
+    def __init__(self):
+        self.length = 0
+        self.pad_mask: np.ndarray | None = None  # (rows, 1, 1, length)
+        self.self_kv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.cross_kv: dict[int, tuple[Tensor, Tensor]] = {}
+
+    def select(self, rows) -> None:
+        """Keep these rows, in this order; a row may repeat or be dropped."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if self.pad_mask is not None:
+            self.pad_mask = self.pad_mask[rows]
+        self.self_kv = {i: (k[rows], v[rows]) for i, (k, v) in self.self_kv.items()}
+
+    def extend(self, layer: int, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+        """Append the new rows' keys and values (rows, h, t_new, d_head) of
+        one layer; return that layer's keys and values for every position."""
+        old_k, old_v = self.self_kv.get(layer, (None, None))
+        k, v = _grow(old_k, keys.data, -2), _grow(old_v, values.data, -2)
+        self.self_kv[layer] = k, v
+        return Tensor(k), Tensor(v)
+
+    def cross(self, layer: int, params: MultiHeadParams, enc_out) -> tuple[Tensor, Tensor]:
+        """One layer's cross-attention keys and values, projected from
+        enc_out on first use."""
+        if layer not in self.cross_kv:
+            self.cross_kv[layer] = params.keys_values(enc_out)
+        return self.cross_kv[layer]
+
+
 class TransformerModel:
     """Token embedding + sinusoidal positions + encoder/decoder stacks."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        self._build(config, np.random.default_rng(seed))
+
+    def _build(self, config: ModelConfig, init) -> None:
+        """Create every parameter from init: a generator drawing fresh
+        values, or the _Stored arrays of a checkpoint (see _param)."""
         self.config = config
-        rng = np.random.default_rng(seed)
         d = config.d_model
-        self.embed = Parameter(
-            rng.normal(0.0, 1.0 / np.sqrt(d), size=(config.vocab_size, d)), "embed"
-        )
+
+        def normal(rng, shape):
+            return rng.normal(0.0, 1.0 / np.sqrt(d), size=shape)
+
+        self.embed = _param(init, "embed", (config.vocab_size, d), normal)
         self.positions = positional_encoding(config.max_positions, d)
         self.enc_layers = [
-            _EncoderLayer(config, rng, f"enc{i}") for i in range(config.enc_layers)
+            _EncoderLayer(config, init, f"enc{i}") for i in range(config.enc_layers)
         ]
         self.dec_layers = [
-            _DecoderLayer(config, rng, f"dec{i}") for i in range(config.dec_layers)
+            _DecoderLayer(config, init, f"dec{i}") for i in range(config.dec_layers)
         ]
-        self.enc_norm = _LayerNormParams(d, "enc_norm")
-        self.dec_norm = _LayerNormParams(d, "dec_norm")
+        self.enc_norm = _LayerNormParams(d, init, "enc_norm")
+        self.dec_norm = _LayerNormParams(d, init, "dec_norm")
         if config.share_embeddings:
             self.out_proj = None
         else:
-            self.out_proj = Parameter(_xavier(rng, d, config.vocab_size), "out_proj")
+            self.out_proj = _param(init, "out_proj", (d, config.vocab_size), _xavier)
         self._parameters = self._collect_parameters()
 
     def _collect_parameters(self) -> list[Parameter]:
@@ -282,8 +381,10 @@ class TransformerModel:
         return np.where(ids == self.config.pad_id, MASK_VALUE, 0.0)[:, None, None, :]
 
     @staticmethod
-    def _causal_mask(t: int) -> np.ndarray:
-        return np.triu(np.full((t, t), MASK_VALUE), k=1)
+    def _causal_mask(t: int, start: int = 0) -> np.ndarray:
+        """(t, start + t) mask: the query at position start + i sees keys
+        0 .. start + i."""
+        return np.triu(np.full((t, start + t), MASK_VALUE), k=start + 1)
 
     @staticmethod
     def _as_batch(ids) -> tuple[np.ndarray, bool]:
@@ -294,20 +395,21 @@ class TransformerModel:
             return ids, False
         raise ShapeError(f"token ids must be 1-d or 2-d, got shape {ids.shape}")
 
-    def _check_ids(self, ids: np.ndarray, what: str) -> None:
+    def _check_ids(self, ids: np.ndarray, what: str, start: int = 0) -> None:
+        """ids continue a sequence that already has start positions."""
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
             raise ShapeError(
                 f"{what} id out of range [0, {self.config.vocab_size})"
             )
-        if ids.shape[-1] > self.config.max_positions:
+        if start + ids.shape[-1] > self.config.max_positions:
             raise ShapeError(
-                f"{what} length {ids.shape[-1]} exceeds max positions "
+                f"{what} length {start + ids.shape[-1]} exceeds max positions "
                 f"{self.config.max_positions}"
             )
 
-    def _embed_sequence(self, ids: np.ndarray, rng) -> Tensor:
+    def _embed_sequence(self, ids: np.ndarray, rng, start: int = 0) -> Tensor:
         x = mul(embedding(self.embed, ids), np.sqrt(self.config.d_model))
-        pos = Tensor(self.positions.data[: ids.shape[-1]])
+        pos = Tensor(self.positions.data[start: start + ids.shape[-1]])
         return dropout(add(x, pos), self.config.dropout, rng)
 
     # -- forward passes --------------------------------------------------
@@ -322,20 +424,30 @@ class TransformerModel:
             x = layer(x, mask, rng)
         return self.enc_norm(x), ids
 
-    def decode(self, enc_out: Tensor, src_ids: np.ndarray, dec_input_ids, rng=None) -> Tensor:
+    def decode(self, enc_out: Tensor, src_ids: np.ndarray, dec_input_ids, rng=None,
+               cache: DecodeCache | None = None) -> Tensor:
         """Teacher-forced decoder pass producing next-token logits.
 
         Decoder self-attention is causally masked; [PAD] positions of both
-        streams are hidden as attention keys.
+        streams are hidden as attention keys. With a cache, dec_input_ids
+        holds only the new tokens of each row, (k, t_new): they take the
+        positions after the cache's length, attend to every earlier position
+        of their row through the cache, and are appended to it. The logits
+        are the new tokens' only, (k, t_new, V).
         """
         dec_ids, squeeze = self._as_batch(dec_input_ids)
-        self._check_ids(dec_ids, "decoder input")
+        start = 0 if cache is None else cache.length
+        self._check_ids(dec_ids, "decoder input", start)
         t = dec_ids.shape[-1]
-        self_mask = self._causal_mask(t) + self._pad_mask(dec_ids)
+        pad_mask = self._pad_mask(dec_ids)
+        if cache is not None:
+            cache.pad_mask = pad_mask = _grow(cache.pad_mask, pad_mask, -1)
+            cache.length += t
+        self_mask = self._causal_mask(t, start) + pad_mask
         cross_mask = self._pad_mask(src_ids)
-        x = self._embed_sequence(dec_ids, rng)
-        for layer in self.dec_layers:
-            x = layer(x, enc_out, self_mask, cross_mask, rng)
+        x = self._embed_sequence(dec_ids, rng, start)
+        for i, layer in enumerate(self.dec_layers):
+            x = layer(x, enc_out, self_mask, cross_mask, rng, cache, i)
         x = self.dec_norm(x)
         if self.out_proj is not None:
             logits = matmul(x, self.out_proj)
@@ -358,22 +470,15 @@ class TransformerModel:
 
     @classmethod
     def load(cls, path) -> "TransformerModel":
+        """The model a checkpoint holds, its parameters built from the stored
+        arrays (no random initialisation)."""
         meta, arrays = read_container(path)
         if meta.get("config") is None:
             raise ValueError(f"checkpoint {path} carries no model config")
-        model = cls(ModelConfig(**meta["config"]), seed=0)
-        expected = [p.name for p in model._parameters]
-        if expected != list(arrays):
+        model = cls.__new__(cls)
+        model._build(ModelConfig(**meta["config"]), _Stored(path, arrays))
+        if [p.name for p in model._parameters] != list(arrays):
             raise ValueError(f"checkpoint {path} parameter names do not match config")
-        for p in model._parameters:
-            stored = arrays[p.name]
-            if stored.shape != p.data.shape:
-                raise ValueError(
-                    f"checkpoint {path}: {p.name} has shape {stored.shape}, "
-                    f"expected {p.data.shape}"
-                )
-            p.data = stored
-            p.zero_grad()
         return model
 
 

@@ -15,14 +15,15 @@ from qgen.generation import (
 )
 from qgen.model import ModelConfig, TransformerModel
 from qgen.preprocess import PreprocessError, preprocess_pair
-from qgen.tensor import Tensor, no_grad
+from qgen.tensor import ShapeError, Tensor, no_grad
 
 
 class TableModel:
-    """Stub decoder whose next-token logits depend only on the prefix length.
+    """Stub decoder whose next-token logits depend only on the decoding position.
 
     logits_table has shape (max positions, vocab); row t scores the token at
-    decoding position t.
+    decoding position t. It decodes incrementally like the real model: the
+    cache's length is the number of positions decoded before this call.
     """
 
     def __init__(self, logits_table, bos_id=2, eos_id=3, pad_id=0):
@@ -32,10 +33,11 @@ class TableModel:
     def encode(self, input_ids):
         return None, np.asarray(input_ids)
 
-    def decode(self, enc_out, src_ids, dec_input_ids):
-        t = len(dec_input_ids)
-        rows = [self.table[min(i, len(self.table) - 1)] for i in range(t)]
-        return Tensor(np.stack(rows))
+    def decode(self, enc_out, src_ids, dec_input_ids, cache):
+        k, t = np.shape(dec_input_ids)
+        start, cache.length = cache.length, cache.length + t
+        rows = [self.table[min(i, len(self.table) - 1)] for i in range(start, start + t)]
+        return Tensor(np.broadcast_to(np.stack(rows), (k, t, self.table.shape[1])))
 
 
 def enumerate_best(table, cfg, eos):
@@ -159,6 +161,16 @@ class TestBeamSearch:
                                        length_alpha=0.6)
                 assert beam_search(model, ids, cfg)[0].score(0.6) >= \
                     greedy_score - 1e-12
+
+    def test_decoding_past_max_positions_raises(self):
+        model = small_model(seed=1)
+        assert model.config.max_positions == 16
+        # Width 2 keeps a live hypothesis at every step, so decoding reaches
+        # position 17.
+        cfg = GenerationConfig(beam_width=2, max_length=20)
+        with pytest.raises(ShapeError,
+                           match="decoder input length 17 exceeds max positions 16"):
+            beam_search(model, np.array([4, 5, 6]), cfg)
 
     def test_deterministic(self):
         model = small_model(seed=5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qgen.model import (
+    DecodeCache,
     ModelConfig,
     MultiHeadParams,
     TransformerModel,
@@ -13,7 +14,13 @@ from qgen.model import (
     read_container,
     write_container,
 )
-from qgen.tensor import ShapeError, Tensor, check_gradients, cross_entropy_with_logits
+from qgen.tensor import (
+    ShapeError,
+    Tensor,
+    check_gradients,
+    cross_entropy_with_logits,
+    no_grad,
+)
 
 
 def small_config(**kw):
@@ -218,6 +225,43 @@ class TestForward:
         assert not np.array_equal(train_a, eval_a)
 
 
+class TestCachedDecode:
+    # Rows kept after each step, as a beam keeps them: repeated, reordered
+    # and dropped.
+    SELECTIONS = ([0, 0, 0], [2, 0, 0, 1], [3, 1], [1, 1, 0], [2, 0, 1, 1])
+
+    def test_last_row_logits_match_full_prefix_decode(self):
+        configs = (
+            small_config(),
+            small_config(share_embeddings=False, dec_layers=1),
+            ModelConfig(vocab_size=398),  # the CLI-default shape
+        )
+        for cfg in configs:
+            model = TransformerModel(cfg, seed=11)
+            rng = np.random.default_rng(5)
+            src = rng.integers(4, cfg.vocab_size, size=(1, 9))
+            src[0, -2:] = cfg.pad_id
+            with no_grad():
+                enc_out, src_ids = model.encode(src)
+                cache = DecodeCache()
+                # The first call takes a three-token prefix with a [PAD] in it.
+                prefixes = np.array([[cfg.bos_id, 5, cfg.pad_id]])
+                got = model.decode(enc_out, src_ids, prefixes, cache=cache).data
+                want = model.decode(enc_out, src_ids, prefixes).data
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                for step, rows in enumerate(self.SELECTIONS):
+                    cache.select(rows)
+                    new = rng.integers(4, cfg.vocab_size, size=(len(rows), 1))
+                    new[step % len(rows), 0] = cfg.pad_id
+                    prefixes = np.concatenate([prefixes[rows], new], axis=1)
+                    got = model.decode(enc_out, src_ids, new, cache=cache).data
+                    want = model.decode(enc_out, src_ids, prefixes).data
+                    assert got.shape == (len(rows), 1, cfg.vocab_size)
+                    np.testing.assert_allclose(got[:, -1], want[:, -1], rtol=0,
+                                               atol=1e-12)
+            assert cache.length == prefixes.shape[1]
+
+
 class TestModelGradients:
     def test_selected_parameter_blocks_pass_finite_differences(self):
         model = TransformerModel(small_config(enc_layers=1, dec_layers=1), seed=4)
@@ -273,6 +317,37 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             model.forward(src, dec).data, again.forward(src, dec).data
         )
+
+    def test_load_draws_no_random_values(self, tmp_path, monkeypatch):
+        model = TransformerModel(small_config(share_embeddings=False), seed=7)
+        path = tmp_path / "m.bin"
+        model.save(path)
+
+        def no_draws(*args):
+            raise AssertionError("load drew random values")
+
+        monkeypatch.setattr("qgen.model._xavier", no_draws)
+        again = TransformerModel.load(path)
+        for p, q in zip(model.parameters(), again.parameters()):
+            assert p.name == q.name
+            np.testing.assert_array_equal(p.data, q.data)
+            np.testing.assert_array_equal(q.grad, np.zeros_like(q.data))
+
+    def test_mismatched_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        TransformerModel(small_config(), seed=8).save(path)
+        meta, arrays = read_container(path)
+        tensors = list(arrays.items())
+        cases = [
+            (tensors[:-1], "parameter names do not match config"),
+            (tensors + [("extra", np.zeros(2))], "parameter names do not match config"),
+            ([("embed", np.zeros((3, 8)))] + tensors[1:],
+             r"embed has shape \(3, 8\), expected \(16, 8\)"),
+        ]
+        for stored, message in cases:
+            write_container(path, meta, stored)
+            with pytest.raises(ValueError, match=message):
+                TransformerModel.load(path)
 
     def test_container_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
