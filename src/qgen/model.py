@@ -1,7 +1,8 @@
 """Encoder-decoder transformer built on the autodiff tensor module.
 
 Attention is scaled dot-product over the last two axes, so one code path
-serves single sequences, batches, and per-head batches. Blocks use
+serves single sequences, batches, and per-head batches; it is a single
+autodiff node (tensor.attention) that keeps only its probabilities. Blocks use
 pre-layer-norm residuals. Checkpoints are a small versioned binary container
 holding the config and every named parameter as little-endian float64.
 """
@@ -14,11 +15,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensor import (
+# softmax_rows is not called here. It stays imported because the benchmark's
+# traced runs wrap tensor ops where this module looks them up
+# (perfbench/layers.py: qgen.model:<op>).
+from .tensor import (  # noqa: F401
     Parameter,
     ShapeError,
     Tensor,
     add,
+    attention,
     concat_last,
     dropout,
     embedding,
@@ -80,23 +85,6 @@ def positional_encoding(max_len: int, d_model: int) -> Tensor:
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
     return Tensor(table)
-
-
-def attention(q, k, v, mask=None) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v over the last two axes.
-
-    The scale is the square root of q's column count. mask, if given, is added
-    to the raw scores (large negative entries forbid positions).
-    """
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention: k rows {k.shape} != v rows {v.shape}")
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention: q cols {q.shape} != k cols {k.shape}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = mul(matmul(q, transpose(k)), scale)
-    if mask is not None:
-        scores = add(scores, mask)
-    return matmul(softmax_rows(scores), v)
 
 
 class MultiHeadParams:

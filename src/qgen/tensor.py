@@ -2,9 +2,10 @@
 
 The graph is recorded eagerly: every differentiable op returns a Tensor that
 remembers its parents and a closure producing their adjoints. backward() on a
-scalar walks the recorded graph once in reverse topological order. Everything
-is stored as row-major float64; shapes are checked up front and mismatches
-fail loudly.
+scalar walks the recorded graph once in reverse topological order; after the
+pass only the leaves (Parameters and other parentless nodes) and the loss keep
+a .grad. Attention is one fused node. Everything is stored as row-major
+float64; shapes are checked up front and mismatches fail loudly.
 """
 
 from __future__ import annotations
@@ -137,9 +138,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Propagate d(loss)/d(node) through the recorded graph.
 
-    Gradients accumulate into .grad of every reachable requires_grad node;
-    Parameters keep whatever was already in .grad (zero them first when
-    starting a fresh pass).
+    Gradients accumulate into .grad of every reachable leaf (a node without
+    parents, such as a Parameter); Parameters keep whatever was already in
+    .grad (zero them first when starting a fresh pass), and each leaf gets an
+    array of its own. An intermediate node holds its gradient only while the
+    pass needs it: after the pass, the loss and the leaves keep .grad and
+    every other node's is None.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -165,11 +169,16 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
             continue
-        for parent, pgrad in zip(node._parents, node._backward(node.grad)):
+        grads = node._backward(node.grad)
+        if node is not loss:
+            node.grad = None
+        for parent, pgrad in zip(node._parents, grads):
             if not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = pgrad.copy()
+                # Gradients are never updated in place, so an intermediate
+                # node may share its first one; a leaf outlives the pass.
+                parent.grad = pgrad if parent._parents else pgrad.copy()
             else:
                 parent.grad = parent.grad + pgrad
 
@@ -216,7 +225,13 @@ def matmul(a, b) -> Tensor:
     if out.requires_grad:
         def _bw(g):
             ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            if b.data.ndim == 2:
+                # One GEMM over all leading axes instead of a batched product
+                # summed afterwards.
+                k, n = b.shape
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+            else:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
             return ga, gb
         out._backward = _bw
     return out
@@ -273,14 +288,66 @@ def softmax_rows(a) -> Tensor:
     Rejects non-finite input outright instead of emitting NaN downstream.
     """
     a = _as_tensor(a)
-    if not np.isfinite(a.data).all():
-        raise ValueError("softmax_rows: input contains NaN or infinity")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(a.data, "softmax_rows: input")
     out = _result(y, (a,))
     if out.requires_grad:
-        out._backward = lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        out._backward = lambda g: (_softmax_grad(y, g),)
+    return out
+
+
+def _softmax(x: np.ndarray, what: str) -> np.ndarray:
+    """Softmax over the last axis of a finite array, into a new array."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} contains NaN or infinity")
+    y = x - x.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient reaching a softmax's input, given its output y and the
+    gradient g reaching y."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def attention(q, k, v, mask=None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + mask) v over the last two axes, as one node.
+
+    The scale is the square root of q's column count; leading axes broadcast.
+    mask, if given, is a constant added to the raw scores (large negative
+    entries forbid positions); no gradient flows into it. The node keeps only
+    the attention probabilities for its backward pass.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention: k rows {k.shape} != v rows {v.shape}")
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention: q cols {q.shape} != k cols {k.shape}")
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    scores *= scale
+    if mask is not None:
+        mask = _as_tensor(mask).data
+        try:
+            scores = scores + mask
+        except ValueError:
+            raise ShapeError(
+                f"attention: mask {mask.shape} does not broadcast to scores "
+                f"{scores.shape}"
+            ) from None
+    probs = _softmax(scores, "attention: score matrix")
+    del scores
+    out = _result(probs @ v.data, (q, k, v))
+    if out.requires_grad:
+        def _bw(g):
+            gv = _unbroadcast(np.swapaxes(probs, -1, -2) @ g, v.shape)
+            gs = _softmax_grad(probs, g @ np.swapaxes(v.data, -1, -2))
+            gs *= scale
+            gq = _unbroadcast(gs @ k.data, q.shape)
+            gk = _unbroadcast(np.swapaxes(gs, -1, -2) @ q.data, k.shape)
+            return gq, gk, gv
+        out._backward = _bw
     return out
 
 

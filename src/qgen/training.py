@@ -186,9 +186,11 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     """Run the training loop; returns the final state and checkpoint directory.
 
     Batches are drawn from non-empty buckets with probability proportional to
-    bucket size. Metrics go to out_dir/metrics.jsonl, one record per step;
-    checkpoints land in out_dir/checkpoint every checkpoint_interval steps and
-    at the end.
+    bucket size. Metrics go to out_dir/metrics.jsonl, one record per step
+    (tokens_per_sec counts the non-pad input and target tokens); checkpoints
+    land in out_dir/checkpoint every checkpoint_interval steps and at the
+    end. A resumed run (state.step > 0) first drops the log's records of
+    later steps, which it is about to repeat.
     """
     occupied = [b for b in buckets if len(b) > 0]
     if not occupied and config.total_steps > 0:
@@ -201,6 +203,8 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     pad_id = model.config.pad_id
     weights = np.array([len(b) for b in occupied], dtype=np.float64)
     weights /= weights.sum() if len(weights) else 1.0
+    if state.step > 0:
+        _truncate_log(metrics_path, state.step)
     mode = "a" if state.step > 0 else "w"
     with open(metrics_path, mode, encoding="utf-8") as metrics:
         while state.step < config.total_steps:
@@ -216,7 +220,7 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
             started = time.perf_counter()
             value = train_step(model, batch, state, config)
             elapsed = max(time.perf_counter() - started, 1e-9)
-            tokens = int(batch[0].size + batch[1].size)
+            tokens = int((batch[0] != pad_id).sum() + (batch[1] != pad_id).sum())
             record = {
                 "step": state.step,
                 "loss": value,
@@ -229,6 +233,30 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
                 save_checkpoint(ckpt_dir, model, state, config)
     save_checkpoint(ckpt_dir, model, state, config)
     return state, ckpt_dir
+
+
+def _truncate_log(path, step: int) -> None:
+    """Cut a metrics log down to its records of steps up to step.
+
+    A run resumed from the checkpoint of that step logs the later steps
+    again. Records are in step order, and a line cut short by a kill can
+    only come after the checkpoint's record.
+    """
+    if not os.path.exists(path):
+        return
+    kept = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            try:
+                if json.loads(line)["step"] > step:
+                    break
+            except ValueError:
+                break
+            kept.append(line)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
+    os.replace(tmp, path)
 
 
 def teacher_forced_accuracy(model: TransformerModel, buckets: list[Bucket]) -> float:

@@ -17,10 +17,12 @@ from qgen.model import (
 from qgen.tensor import (
     ShapeError,
     Tensor,
+    backward,
     check_gradients,
     cross_entropy_with_logits,
     no_grad,
 )
+from test_tensor import composed_attention
 
 
 def small_config(**kw):
@@ -278,6 +280,32 @@ class TestModelGradients:
         by_name = {p.name: p for p in model.parameters()}
         for name in picked:
             assert check_gradients(f, by_name[name], step=1e-5) < 1e-4, name
+
+
+class TestFusedAttentionInModel:
+    def test_training_pass_matches_composed_attention(self, monkeypatch):
+        """Loss and every parameter gradient of a full forward and backward
+        pass (padding, causal masks, cross-attention, dropout) agree with
+        the same pass through the composed attention graph."""
+        cfg = small_config(dropout=0.1)
+        rng = np.random.default_rng(3)
+        src = rng.integers(4, 16, size=(3, 7))
+        src[1, 5:] = cfg.pad_id
+        tgt = rng.integers(4, 16, size=(3, 5))
+        tgt[2, 3:] = cfg.pad_id
+        dec_in = np.concatenate([np.full((3, 1), cfg.bos_id), tgt[:, :-1]], axis=1)
+        runs = []
+        for op in (attention, composed_attention):
+            monkeypatch.setattr("qgen.model.attention", op)
+            model = TransformerModel(cfg, seed=12)
+            logits = model.forward(src, dec_in, rng=np.random.default_rng(4))
+            loss = cross_entropy_with_logits(logits, tgt, pad_id=cfg.pad_id)
+            backward(loss)
+            runs.append((loss.item(), [p.grad for p in model.parameters()]))
+        (loss_fused, grads_fused), (loss_composed, grads_composed) = runs
+        assert abs(loss_fused - loss_composed) < 1e-12
+        for got, want in zip(grads_fused, grads_composed):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestConfigValidation:

@@ -8,6 +8,7 @@ from qgen.tensor import (
     ShapeError,
     Tensor,
     add,
+    attention,
     backward,
     check_gradients,
     concat_last,
@@ -320,3 +321,148 @@ class TestRandomizedShapeGradients:
 
         for target in (p, gain, bias):
             assert check_gradients(f, target, step=1e-5) < 1e-4
+
+
+def composed_attention(q, k, v, mask=None):
+    """Scaled dot-product attention as a chain of primitive nodes: the graph
+    the fused attention node replaces, kept as its oracle."""
+    scores = mul(matmul(q, transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = add(scores, mask)
+    return matmul(softmax_rows(scores), v)
+
+
+def _pad_mask(rng, b, m):
+    """(b, 1, 1, m) additive mask hiding a random tail of each row's keys."""
+    mask = np.zeros((b, 1, 1, m))
+    for i, n in enumerate(rng.integers(1, m + 1, size=b)):
+        mask[i, ..., n:] = -1e9
+    return mask
+
+
+def _causal_mask(m):
+    return np.triu(np.full((m, m), -1e9), k=1)
+
+
+# (name, q rows, k rows, mask builder)
+ATTENTION_MASKS = [
+    ("no_mask", 3, 5, lambda rng: None),
+    ("pad_mask", 3, 5, lambda rng: _pad_mask(rng, 2, 5)),
+    ("causal_mask", 4, 4, lambda rng: _causal_mask(4)),
+]
+
+
+class TestFusedAttention:
+    """attention is one node; its gradients reach q, k and v directly."""
+
+    def _operands(self, seed, mq, mk):
+        rng = np.random.default_rng(seed)
+        q = Parameter(rng.normal(size=(2, 3, mq, 4)), "q")
+        k = Parameter(rng.normal(size=(2, 3, mk, 4)), "k")
+        v = Parameter(rng.normal(size=(2, 3, mk, 5)), "v")
+        weights = Tensor(rng.normal(size=(2, 3, mq, 5)))
+        return rng, q, k, v, weights
+
+    @pytest.mark.parametrize("name,mq,mk,make_mask", ATTENTION_MASKS,
+                             ids=[c[0] for c in ATTENTION_MASKS])
+    def test_gradients_match_finite_differences(self, name, mq, mk, make_mask):
+        rng, q, k, v, weights = self._operands(10, mq, mk)
+        mask = make_mask(rng)
+
+        def f():
+            return tsum(mul(attention(q, k, v, mask), weights))
+
+        for p in (q, k, v):
+            assert check_gradients(f, p, step=1e-5) < 1e-4, p.name
+
+    @pytest.mark.parametrize("name,mq,mk,make_mask", ATTENTION_MASKS,
+                             ids=[c[0] for c in ATTENTION_MASKS])
+    def test_matches_composed_graph(self, name, mq, mk, make_mask):
+        rng, q, k, v, weights = self._operands(11, mq, mk)
+        mask = make_mask(rng)
+        results = []
+        for op in (attention, composed_attention):
+            for p in (q, k, v):
+                p.zero_grad()
+            out = op(q, k, v, mask)
+            backward(tsum(mul(out, weights)))
+            results.append([out.data, q.grad, k.grad, v.grad])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_is_one_node_over_q_k_v(self):
+        rng, q, k, v, _ = self._operands(12, 3, 5)
+        out = attention(q, k, v, Tensor(_pad_mask(rng, 2, 5)))
+        assert out._parents == (q, k, v)
+
+    def test_keeps_non_finite_score_check(self):
+        rng, q, k, v, _ = self._operands(13, 3, 5)
+        q.data[0, 0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            attention(q, k, v)
+
+    def test_mask_must_broadcast(self):
+        _, q, k, v, _ = self._operands(14, 3, 5)
+        with pytest.raises(ShapeError, match="mask"):
+            attention(q, k, v, np.zeros((3, 4)))
+
+
+class TestMatmulWeightGradient:
+    """An N-d x 2-d product's weight gradient is the sum of the per-slice
+    products a_i^T g_i over every leading index i."""
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["3d_x_2d", "4d_x_2d"])
+    def test_equals_sum_of_slice_products(self, lead):
+        rng = np.random.default_rng(15)
+        a = Tensor(rng.normal(size=(*lead, 4, 5)))
+        w = Parameter(rng.normal(size=(5, 6)), "w")
+        g = rng.normal(size=(*lead, 4, 6))
+        backward(tsum(mul(matmul(a, w), Tensor(g))))
+        want = np.zeros((5, 6))
+        for i in np.ndindex(*lead):
+            want += a.data[i].T @ g[i]
+        np.testing.assert_allclose(w.grad, want, rtol=0, atol=1e-12)
+
+
+class TestGradientLifetime:
+    """After backward only the loss and the leaves hold a .grad, and each
+    leaf's gradient is an array of its own."""
+
+    def _graph(self):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Parameter(rng.normal(size=(4, 2)), "w")
+        hidden = add(x, y)
+        loss = tsum(relu(matmul(reshape(transpose(transpose(hidden)), (3, 4)), w)))
+        return x, y, w, loss
+
+    @staticmethod
+    def _nodes(loss):
+        seen, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        return list(seen.values())
+
+    def test_leaf_gradients_are_values_of_their_own(self):
+        x, y, w, loss = self._graph()
+        backward(loss)
+        active = (((x.data + y.data) @ w.data) > 0).astype(float)
+        want_xy = active @ w.data.T
+        np.testing.assert_array_equal(x.grad, want_xy)
+        np.testing.assert_array_equal(y.grad, want_xy)
+        np.testing.assert_array_equal(w.grad, (x.data + y.data).T @ active)
+        assert not np.shares_memory(x.grad, y.grad)
+        x.grad[0, 0] += 100.0
+        np.testing.assert_array_equal(y.grad, want_xy)
+
+    def test_no_intermediate_keeps_a_gradient(self):
+        x, y, w, loss = self._graph()
+        backward(loss)
+        intermediates = [n for n in self._nodes(loss) if n._parents and n is not loss]
+        assert len(intermediates) == 6
+        assert all(n.grad is None for n in intermediates)
+        assert loss.grad is not None

@@ -1,12 +1,14 @@
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qgen.model import ModelConfig, TransformerModel
 from qgen.squad import Bucket, InvertedExample
+from qgen import training
 from qgen.tensor import Tensor, cross_entropy_with_logits
 from qgen.training import (
     NumericalError,
@@ -230,6 +232,56 @@ class TestTrainLoop:
             for l in (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
         ]
         assert full_log[10:] == resumed_log
+
+    def test_resume_into_same_directory_logs_each_step_once(self, tmp_path,
+                                                            monkeypatch):
+        """A run killed after its step-10 checkpoint, at step 14 and in the
+        middle of a log line, then resumed from that checkpoint into the
+        same directory, leaves the log of an uninterrupted run."""
+        cfg = TrainConfig(total_steps=20, base_lr=1e-3, warmup_steps=5,
+                          batch_size=3, checkpoint_interval=10, seed=1)
+        train(tiny_model(seed=6), [tiny_bucket(6)], cfg, tmp_path / "full")
+
+        class Killed(Exception):
+            pass
+
+        def killed_at_step_14(model, batch, state, config):
+            if state.step == 14:
+                raise Killed
+            return train_step(model, batch, state, config)
+
+        monkeypatch.setattr(training, "train_step", killed_at_step_14)
+        with pytest.raises(Killed):
+            train(tiny_model(seed=6), [tiny_bucket(6)], cfg, tmp_path / "run")
+        monkeypatch.undo()
+        log = tmp_path / "run" / "metrics.jsonl"
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write('{"step": 15, "lo')
+        model, state, _ = load_checkpoint(tmp_path / "run" / "checkpoint")
+        assert state.step == 10
+        train(model, [tiny_bucket(6)], cfg, tmp_path / "run", state=state)
+
+        def records(path):
+            out = [json.loads(line) for line in path.read_text().splitlines()]
+            for r in out:
+                r.pop("tokens_per_sec")
+            return out
+
+        resumed = records(log)
+        assert [r["step"] for r in resumed] == list(range(1, 21))
+        assert resumed == records(tmp_path / "full" / "metrics.jsonl")
+
+    def test_tokens_per_sec_counts_non_pad_tokens(self, tmp_path, monkeypatch):
+        # Every row has 6 input and 5 target tokens, padded to 8 and 7.
+        bucket = Bucket(8, 7, tiny_bucket(6, in_len=6, tgt_len=5).examples)
+        clock = iter(np.arange(0.0, 100.0, 0.25))
+        monkeypatch.setattr(training, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(clock))))
+        cfg = TrainConfig(total_steps=3, warmup_steps=2, batch_size=3)
+        train(tiny_model(seed=9), [bucket], cfg, tmp_path / "run")
+        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        rates = [json.loads(line)["tokens_per_sec"] for line in lines]
+        assert rates == [3 * (6 + 5) / 0.25] * 3
 
     def test_empty_buckets_rejected(self, tmp_path):
         model = tiny_model()
