@@ -48,25 +48,33 @@ def _log_softmax(rows: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _search(model, input_ids, cfg: GenerationConfig, width: int) -> list[BeamHypothesis]:
-    """Breadth-limited best-first decoding; returns the finished pool unsorted.
+def _search(
+    model, input_ids, cfg: GenerationConfig, width: int
+) -> tuple[list[BeamHypothesis], BeamHypothesis]:
+    """Breadth-limited best-first decoding, with the greedy search alongside.
 
-    Each live hypothesis expands by its width most probable tokens (ties go
-    to the smallest token id); the width best continuations by cumulative
-    log-probability stay live. Hypotheses that emit the end marker move to
-    the finished pool; anything still live at max_length is completed with
-    the end marker and its actual log-probability. Each step is one decoder
-    call on the last tokens of all live hypotheses, whose earlier positions
-    the model keeps in a DecodeCache.
+    Returns the width-search's finished pool unsorted, and the greedy
+    completion. Each live hypothesis expands by its width most probable
+    tokens (ties go to the smallest token id); the width best continuations
+    by cumulative log-probability stay live. Hypotheses that emit the end
+    marker move to the finished pool; anything still live at max_length is
+    completed with the end marker and its actual log-probability. Above
+    width 1 the greedy search (width 1) rides as one more row of the same
+    batch until it finishes. Each step is one decoder call on the last
+    tokens of all live hypotheses, whose earlier positions the model keeps
+    in a DecodeCache.
     """
     eos = model.config.eos_id
-    finished: list[BeamHypothesis] = []
+    widths = (width,) if width == 1 else (width, 1)
+    pools: list[list[BeamHypothesis]] = [[] for _ in widths]
     with no_grad():
         enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
         cache = DecodeCache()
-        # (tokens, log-probability, cache row)
-        live: list[tuple[tuple[int, ...], float, int]] = [((), 0.0, 0)]
-        last = np.array([[model.config.bos_id]], dtype=np.int64)
+        # (search, tokens, log-probability); the cache row is the list index
+        live: list[tuple[int, tuple[int, ...], float]] = [
+            (search, (), 0.0) for search in range(len(widths))
+        ]
+        last = np.full((len(widths), 1), model.config.bos_id, dtype=np.int64)
         for position in range(1, cfg.max_length + 1):
             logits = model.decode(enc_out, src_ids, last, cache=cache)
             logp = _log_softmax(logits.data[:, -1])
@@ -74,43 +82,47 @@ def _search(model, input_ids, cfg: GenerationConfig, width: int) -> list[BeamHyp
                 picks = np.full((len(live), 1), eos)
             else:
                 picks = np.argsort(-logp, axis=-1, kind="stable")[:, :width]
-            candidates = [
-                (tokens + (int(t),), total + float(logp[row, t]), row)
-                for row, (tokens, total, _) in enumerate(live)
-                for t in picks[row]
-            ]
-            live = []
-            for tokens, total, row in candidates:
-                if tokens[-1] == eos:
-                    finished.append(BeamHypothesis(tokens, total, True))
-                else:
-                    live.append((tokens, total, row))
-            live.sort(key=lambda c: (-c[1], c[0]))
-            live = live[:width]
+            candidates: list[list] = [[] for _ in widths]
+            for row, (search, tokens, total) in enumerate(live):
+                for t in picks[row, : widths[search]]:
+                    candidates[search].append(
+                        (tokens + (int(t),), total + float(logp[row, t]), row)
+                    )
+            live, rows = [], []
+            for search, found in enumerate(candidates):
+                kept = []
+                for tokens, total, row in found:
+                    if tokens[-1] == eos:
+                        pools[search].append(BeamHypothesis(tokens, total, True))
+                    else:
+                        kept.append((tokens, total, row))
+                kept.sort(key=lambda c: (-c[1], c[0]))
+                for tokens, total, row in kept[: widths[search]]:
+                    live.append((search, tokens, total))
+                    rows.append(row)
             if not live:
                 break
-            cache.select([row for _, _, row in live])
-            last = np.array([[tokens[-1]] for tokens, _, _ in live], dtype=np.int64)
-    return finished
+            cache.select(rows)
+            last = np.array([[tokens[-1]] for _, tokens, _ in live], dtype=np.int64)
+    return pools[0], pools[-1][0]
 
 
 def greedy_decode(model, input_ids, cfg: GenerationConfig) -> BeamHypothesis:
     """Argmax decoding, the width-1 beam; ties go to the smallest token id."""
-    return _search(model, input_ids, cfg, 1)[0]
+    return _search(model, input_ids, cfg, 1)[1]
 
 
 def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]:
     """The cfg.beam_width search, best first.
 
-    The greedy completion is always merged into the pool, so widening the
-    beam never ranks below greedy. Finished hypotheses are ranked by
-    log-probability / length^alpha with ties broken by token ids.
+    The greedy completion, decoded in the same batch, is always merged into
+    the pool, so widening the beam never ranks below greedy. Finished
+    hypotheses are ranked by log-probability / length^alpha with ties broken
+    by token ids.
     """
-    finished = _search(model, input_ids, cfg, cfg.beam_width)
-    if cfg.beam_width > 1:
-        greedy = greedy_decode(model, input_ids, cfg)
-        if all(h.tokens != greedy.tokens for h in finished):
-            finished.append(greedy)
+    finished, greedy = _search(model, input_ids, cfg, cfg.beam_width)
+    if all(h.tokens != greedy.tokens for h in finished):
+        finished.append(greedy)
     finished.sort(key=lambda h: (-h.score(cfg.length_alpha), h.tokens))
     return finished
 
@@ -142,8 +154,14 @@ def generate_batch(
     {id, question_tagged, question_substituted, score}, preserving order.
 
     Inputs are clipped as invert clips them, to at most max_input_ids and the
-    model's max_positions pieces.
+    model's max_positions pieces. A cfg.max_length above max_positions is a
+    ValueError, raised before anything is decoded.
     """
+    if cfg.max_length > model.config.max_positions:
+        raise ValueError(
+            f"generate.max_length {cfg.max_length} exceeds the model's "
+            f"max_positions {model.config.max_positions}"
+        )
     limit = min(max_input_ids, model.config.max_positions)
     rows = []
     for record in records:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qgen.cli import DEFAULTS, EXIT_INPUT, EXIT_IO, EXIT_OK, build_parser, main
+from qgen.model import ModelConfig, TransformerModel
 from conftest import DATA_DIR
 
 SMALL_FLAGS = [
@@ -151,6 +152,31 @@ class TestPipeline:
         ]
         assert main(argv) == EXIT_IO
         assert "checkpoint" in capsys.readouterr().err
+
+
+    def test_max_length_beyond_max_positions_exits_2(self, tmp_path, capsys, vocab):
+        ckpt = tmp_path / "out" / "checkpoint"
+        ckpt.mkdir(parents=True)
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, num_heads=2,
+                             enc_layers=1, dec_layers=1, d_ff=16, max_positions=16,
+                             dropout=0.0, pad_id=vocab.pad_id, bos_id=vocab.bos_id,
+                             eos_id=vocab.eos_id)
+        TransformerModel(config, seed=0).save(ckpt / "model.bin")
+        gen_in = tmp_path / "gen_in.jsonl"
+        gen_in.write_text(
+            json.dumps({"id": "g1", "passage": "The gold was found in Warsaw.",
+                        "answer": "gold"}) + "\n",
+            encoding="utf-8",
+        )
+        gen_out = tmp_path / "gen_out.jsonl"
+        argv = [
+            "generate", "--paths.out_dir", str(tmp_path / "out"),
+            "--generate.max_length", "20", str(gen_in), str(gen_out),
+        ]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: generate.max_length 20 exceeds the model's max_positions 16" in err
+        assert not gen_out.exists()
 
 
 class TestEvaluateErrors:

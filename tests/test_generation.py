@@ -19,11 +19,13 @@ from qgen.tensor import ShapeError, Tensor, no_grad
 
 
 class TableModel:
-    """Stub decoder whose next-token logits depend only on the decoding position.
+    """Stub decoder whose next-token logits depend only on the decoding
+    position, or on the position and the row's previous token.
 
-    logits_table has shape (max positions, vocab); row t scores the token at
-    decoding position t. It decodes incrementally like the real model: the
-    cache's length is the number of positions decoded before this call.
+    logits_table has shape (max positions, vocab) or (max positions, vocab,
+    vocab); row t (and, for the second, the previous token) scores the token
+    at decoding position t. It decodes incrementally like the real model:
+    the cache's length is the number of positions decoded before this call.
     """
 
     def __init__(self, logits_table, bos_id=2, eos_id=3, pad_id=0):
@@ -34,10 +36,23 @@ class TableModel:
         return None, np.asarray(input_ids)
 
     def decode(self, enc_out, src_ids, dec_input_ids, cache):
-        k, t = np.shape(dec_input_ids)
+        dec_ids = np.asarray(dec_input_ids)
+        k, t = dec_ids.shape
         start, cache.length = cache.length, cache.length + t
-        rows = [self.table[min(i, len(self.table) - 1)] for i in range(start, start + t)]
-        return Tensor(np.broadcast_to(np.stack(rows), (k, t, self.table.shape[1])))
+        rows = self.table[np.minimum(np.arange(start, start + t), len(self.table) - 1)]
+        if rows.ndim == 3:
+            return Tensor(rows[np.arange(t), dec_ids])
+        return Tensor(np.broadcast_to(rows, (k, t, self.table.shape[-1])))
+
+
+def bigram_table(default, rows, positions):
+    """A (positions, vocab, vocab) TableModel table of log-probabilities:
+    rows maps (position, previous token) to next-token probabilities, and
+    every other pair scores with default."""
+    table = np.tile(np.log(default), (positions, len(default), 1))
+    for (position, previous), probs in rows.items():
+        table[position, previous] = np.log(probs)
+    return table
 
 
 def enumerate_best(table, cfg, eos):
@@ -162,6 +177,91 @@ class TestBeamSearch:
                 assert beam_search(model, ids, cfg)[0].score(0.6) >= \
                     greedy_score - 1e-12
 
+    def test_pool_holds_reference_greedy(self):
+        rng = np.random.default_rng(7)
+        for seed in range(8):
+            model = small_model(seed=seed)
+            ids = rng.integers(4, 10, size=int(rng.integers(1, 8)))
+            want = reference_greedy(model, ids, 8)
+            for width in (2, 4):
+                cfg = GenerationConfig(beam_width=width, max_length=8)
+                pool = {h.tokens: h.log_prob for h in beam_search(model, ids, cfg)}
+                assert want.tokens in pool
+                assert pool[want.tokens] == pytest.approx(want.log_prob, abs=1e-12)
+
+    # Two searches that part after step 1. The greedy search takes token 4
+    # (p .5) and then 1 (p .3), so (4, 1) scores .15; the width-2 beam keeps
+    # (5, 4) at .24 and (5, 5) at .156 instead.
+    PARTING = {
+        (0, 2): [.01, .02, .02, .05, .5, .4],
+        (1, 4): [.1, .3, .05, .05, .25, .25],
+        (1, 5): [.002, .002, .002, .004, .6, .39],
+    }
+
+    def test_greedy_outlives_the_beam_it_left(self):
+        # A beam of width >= 2 always keeps a live continuation that is not
+        # the end marker, so it can only run out at max_length. Here every
+        # hypothesis the beam finishes by itself ends at step 3, while the
+        # greedy row, cut from the beam at step 2, runs on to max_length.
+        table = bigram_table([.2, .2, .1, .1, .2, .2], {
+            **self.PARTING,
+            (2, 1): [.1, .1, .1, .1, .5, .1],
+            (2, 4): [.05, .05, .05, .7, .05, .1],
+            (2, 5): [.05, .05, .05, .6, .15, .1],
+        }, positions=4)
+        cfg = GenerationConfig(beam_width=2, max_length=4, length_alpha=0.6)
+        pool = beam_search(TableModel(table), np.array([1]), cfg)
+        ln = math.log
+        want = [
+            ((5, 4, 3), ln(.4) + ln(.6) + ln(.7)),
+            ((5, 5, 3), ln(.4) + ln(.39) + ln(.6)),
+            ((4, 1, 4, 3), ln(.5) + ln(.3) + ln(.5) + ln(.1)),
+            ((5, 4, 5, 3), ln(.4) + ln(.6) + ln(.1) + ln(.1)),
+            ((5, 5, 4, 3), ln(.4) + ln(.39) + ln(.15) + ln(.1)),
+        ]
+        assert [h.tokens for h in pool] == [tokens for tokens, _ in want]
+        for hyp, (_, log_prob) in zip(pool, want):
+            assert hyp.log_prob == pytest.approx(log_prob, abs=1e-12)
+
+    def test_greedy_finishes_while_beams_live(self):
+        # The greedy row ends at step 3; the beam finds no end marker among
+        # its two best tokens until max_length forces it at step 5.
+        table = bigram_table([.2, .2, .1, .1, .2, .2], {
+            **self.PARTING,
+            (2, 1): [.05, .05, .05, .8, .03, .02],
+            (2, 4): [.1, .1, .1, .1, .2, .4],
+            (2, 5): [.1, .1, .1, .1, .4, .2],
+        }, positions=5)
+        cfg = GenerationConfig(beam_width=2, max_length=5, length_alpha=0.6)
+        pool = beam_search(TableModel(table), np.array([1]), cfg)
+        ln = math.log
+        want = [
+            ((4, 1, 3), ln(.5) + ln(.3) + ln(.8)),
+            ((5, 4, 5, 0, 3), ln(.4) + ln(.6) + ln(.4) + ln(.2) + ln(.1)),
+            ((5, 4, 5, 1, 3), ln(.4) + ln(.6) + ln(.4) + ln(.2) + ln(.1)),
+        ]
+        assert [h.tokens for h in pool] == [tokens for tokens, _ in want]
+        for hyp, (_, log_prob) in zip(pool, want):
+            assert hyp.log_prob == pytest.approx(log_prob, abs=1e-12)
+
+    def test_one_encode_and_one_decode_per_step(self):
+        model = small_model(seed=2)
+        calls = {"encode": 0, "decode": 0}
+
+        def counted(name):
+            method = getattr(model, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        model.encode, model.decode = counted("encode"), counted("decode")
+        cfg = GenerationConfig(beam_width=4, max_length=10)
+        beam_search(model, np.array([4, 5, 6, 7]), cfg)
+        assert calls["encode"] == 1
+        assert 1 <= calls["decode"] <= cfg.max_length
+
     def test_decoding_past_max_positions_raises(self):
         model = small_model(seed=1)
         assert model.config.max_positions == 16
@@ -259,3 +359,15 @@ class TestGenerateQuestion:
         with pytest.raises(PreprocessError, match="record r-short"):
             generate_batch(model, [record], tagger, stoplist, vocab, cfg,
                            max_input_ids=1)
+
+    def test_max_length_beyond_max_positions_is_rejected_up_front(self, tagger,
+                                                                  stoplist, vocab):
+        model = small_model(seed=9, vocab_size=len(vocab))
+        record = {"id": "r0", "passage": "The gold was found in Warsaw.",
+                  "answer": "gold"}
+        cfg = GenerationConfig(beam_width=2, max_length=model.config.max_positions)
+        generate_batch(model, [record], tagger, stoplist, vocab, cfg)
+        cfg.max_length += 1
+        with pytest.raises(ValueError, match="generate.max_length 17 exceeds the "
+                           "model's max_positions 16"):
+            generate_batch(model, [record], tagger, stoplist, vocab, cfg)
