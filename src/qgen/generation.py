@@ -153,9 +153,10 @@ def generate_batch(
     """Decode {id, passage, answer} records into
     {id, question_tagged, question_substituted, score}, preserving order.
 
-    Inputs are clipped as invert clips them, to at most max_input_ids and the
-    model's max_positions pieces. A cfg.max_length above max_positions is a
-    ValueError, raised before anything is decoded.
+    Each distinct passage is encoded once. Inputs are clipped as invert clips
+    them, to at most max_input_ids and the model's max_positions pieces. A
+    cfg.max_length above max_positions is a ValueError, raised before anything
+    is decoded.
     """
     if cfg.max_length > model.config.max_positions:
         raise ValueError(
@@ -164,10 +165,11 @@ def generate_batch(
         )
     limit = min(max_input_ids, model.config.max_positions)
     rows = []
+    passages: dict = {}
     for record in records:
         try:
             input_seq, tagged = preprocess_pair(
-                record["answer"], record["passage"], tagger, stoplist, vocab
+                record["answer"], record["passage"], tagger, stoplist, vocab, passages
             )
             input_ids = clip_input(input_seq.ids, limit, vocab.separator_id)
         except (PreprocessError, ValueError) as exc:

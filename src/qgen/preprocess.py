@@ -63,7 +63,12 @@ def _is_word_char(c: str) -> bool:
 
 class GazetteerTagger:
     """Deterministic tagger: longest surface form wins, word boundaries only,
-    case-insensitive. A stand-in for a statistical recognizer."""
+    case-insensitive. A stand-in for a statistical recognizer.
+
+    A surface matches at a word start i when text[i:j].lower() equals
+    surface.lower(), with j = i + len(surface): offsets are the text's own, so
+    a character that lowercases to two does not shift later matches.
+    """
 
     def __init__(self, entries: Iterable[tuple[str, str]]):
         self.entries: list[tuple[str, str]] = []
@@ -75,6 +80,12 @@ class GazetteerTagger:
             self.entries.append((surface, tag))
         # longest first so overlapping candidates resolve to the longer form
         self.entries.sort(key=lambda e: (-len(e[0]), e[0]))
+        # first lowercased character -> (length, lowercased surface, tag), in
+        # the order above; a match's slice lowercases to the same first char
+        self._index: dict[str, list[tuple[int, str, str]]] = {}
+        for surface, tag in self.entries:
+            folded = surface.lower()
+            self._index.setdefault(folded[0], []).append((len(surface), folded, tag))
 
     @classmethod
     def from_tsv(cls, path) -> "GazetteerTagger":
@@ -91,7 +102,6 @@ class GazetteerTagger:
         return cls(entries)
 
     def __call__(self, text: str) -> list[EntitySpan]:
-        lower = text.lower()
         spans: list[EntitySpan] = []
         i, n = 0, len(text)
         while i < n:
@@ -99,9 +109,9 @@ class GazetteerTagger:
                 i += 1
                 continue
             hit = None
-            for surface, tag in self.entries:
-                j = i + len(surface)
-                if lower.startswith(surface.lower(), i) and (
+            for length, folded, tag in self._index.get(text[i].lower()[0], ()):
+                j = i + length
+                if j <= n and text[i:j].lower() == folded and (
                     j == n or not _is_word_char(text[j])
                 ):
                     hit = EntitySpan(i, j, tag, text[i:j])
@@ -245,24 +255,33 @@ def preprocess_pair(
     tagger: EntityTagger,
     stoplist: frozenset[str],
     vocab: Vocabulary,
+    passages: dict[str, tuple[TokenSequence, TaggedPassage]] | None = None,
 ) -> tuple[TokenSequence, TaggedPassage]:
     """Build the model input: answer pieces, one separator, passage pieces.
 
     Entity indices are assigned over the passage first; the answer reuses that
-    map so identical surfaces share indices.
+    map so identical surfaces share indices. A caller that encodes many pairs
+    with one tagger, stoplist and vocab may pass the same `passages` dict to
+    each call: it maps passage text to its encoding, so a passage shared by
+    several answers is tagged and split once. Cached entries are never mutated.
     """
     if not answer.strip():
         raise ValueError("preprocess_pair: answer is empty")
     if not passage.strip():
         raise ValueError("preprocess_pair: passage is empty")
-    try:
-        passage_seq, passage_tagged = tagged_wordpieces(
-            passage, tagger, vocab, stoplist, source="passage"
-        )
-    except PreprocessError:
-        raise
-    except Exception as exc:
-        raise PreprocessError(f"passage stage failed: {exc}") from exc
+    if passages is not None and passage in passages:
+        passage_seq, passage_tagged = passages[passage]
+    else:
+        try:
+            passage_seq, passage_tagged = tagged_wordpieces(
+                passage, tagger, vocab, stoplist, source="passage"
+            )
+        except PreprocessError:
+            raise
+        except Exception as exc:
+            raise PreprocessError(f"passage stage failed: {exc}") from exc
+        if passages is not None:
+            passages[passage] = passage_seq, passage_tagged
     try:
         answer_seq, joint = tagged_wordpieces(
             answer, tagger, vocab, stoplist,

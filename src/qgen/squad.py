@@ -140,16 +140,18 @@ def invert(
 ) -> list[InvertedExample]:
     """Turn records into (input ids, target ids) pairs, sorted by question id.
 
-    The question is lowercased, entity-tagged with the passage's index map,
-    and keeps its stop words. Over-long inputs are clipped by clip_input;
-    over-long questions are truncated before the closing marker.
+    Each distinct passage is encoded once. The question is lowercased,
+    entity-tagged with the passage's index map, and keeps its stop words.
+    Over-long inputs are clipped by clip_input; over-long questions are
+    truncated before the closing marker.
     """
     examples = []
+    passages: dict = {}
     for rec in sorted(records, key=lambda r: r.question_id):
         try:
             answer_text, _ = select_answer(rec.answers)
             input_seq, tagged = preprocess_pair(
-                answer_text, rec.passage, tagger, stoplist, vocab
+                answer_text, rec.passage, tagger, stoplist, vocab, passages
             )
             input_ids = clip_input(input_seq.ids, max_input_ids, vocab.separator_id)
             question_seq, _ = tagged_wordpieces(

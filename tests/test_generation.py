@@ -330,6 +330,27 @@ class TestGenerateQuestion:
         assert [r["id"] for r in rows] == ["r0", "r1", "r2", "r3"]
         assert all(row == {**rows[0], "id": row["id"]} for row in rows)
 
+    def test_shared_passage_is_tagged_once(self, tagger, stoplist, vocab):
+        model = small_model(seed=10, vocab_size=len(vocab))
+        cfg = GenerationConfig(beam_width=2, max_length=4)
+        passage = "Nikola Tesla was born in Smiljan and worked in Budapest."
+        records = [
+            {"id": "r0", "passage": passage, "answer": "Smiljan"},
+            {"id": "r1", "passage": passage, "answer": "Budapest"},
+        ]
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tagger(text)
+
+        rows = generate_batch(model, records, counting, stoplist, vocab, cfg)
+        assert calls.count(passage) == 1
+        assert len(calls) == 3
+        alone = [generate_batch(model, [record], tagger, stoplist, vocab, cfg)[0]
+                 for record in records]
+        assert rows == alone
+
     def test_long_passage_is_clipped_to_max_positions(self, tagger, stoplist, vocab,
                                                       monkeypatch):
         model = small_model(seed=8, vocab_size=len(vocab))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from qgen.preprocess import (
     EntitySpan,
     GazetteerTagger,
     PreprocessError,
+    _is_word_char,
     postprocess_question,
     preprocess_pair,
     remove_stopwords,
@@ -17,6 +20,56 @@ from qgen.preprocess import (
     tagged_wordpieces,
 )
 from qgen.wordpiece import BOS, EOS, PAD, SEPARATOR, TokenSequence
+
+
+def reference_scan(tagger: GazetteerTagger, text: str) -> list[EntitySpan]:
+    """The tagger's former scan, kept as the oracle for its first-character
+    index: every entry, longest first, tried at every word start on
+    text.lower(). Valid only where lowercasing keeps every offset."""
+    assert len(text.lower()) == len(text)
+    lower = text.lower()
+    spans: list[EntitySpan] = []
+    i, n = 0, len(text)
+    while i < n:
+        if i > 0 and _is_word_char(text[i - 1]):
+            i += 1
+            continue
+        hit = None
+        for surface, tag in tagger.entries:
+            j = i + len(surface)
+            if lower.startswith(surface.lower(), i) and (
+                j == n or not _is_word_char(text[j])
+            ):
+                hit = EntitySpan(i, j, tag, text[i:j])
+                break
+        if hit is not None:
+            spans.append(hit)
+            i = hit.end
+        else:
+            i += 1
+    return spans
+
+
+JOINERS = (" ", " ", " ", "", "x", "7", "_", ".", ",", "'s ", "-", " (", ") ")
+
+
+def random_gazetteer_text(rng: random.Random, surfaces: list[str]) -> str:
+    """Gazetteer surfaces and their prefixes in mixed case, glued by spaces,
+    letters, digits, '_' or punctuation, some nested inside a longer surface."""
+    multiword = [s for s in surfaces if " " in s]
+    parts = []
+    for _ in range(rng.randint(1, 8)):
+        piece = rng.choice(surfaces)
+        roll = rng.random()
+        if roll < 0.2:
+            piece = piece[: rng.randint(1, len(piece))]
+        elif roll < 0.4:
+            outer = rng.choice(multiword)
+            cut = rng.choice([k for k, c in enumerate(outer) if c == " "])
+            piece = f"{outer[:cut]} {piece}{outer[cut:]}"
+        piece = "".join(rng.choice((c, c.lower(), c.upper())) for c in piece)
+        parts.append(piece + rng.choice(JOINERS))
+    return "".join(parts)
 
 
 class TestGazetteerTagger:
@@ -48,6 +101,35 @@ class TestGazetteerTagger:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="BADTAG"):
             GazetteerTagger([("x", "BADTAG")])
+
+    def test_matches_align_with_text_offsets_when_lowercasing_lengthens(self):
+        # 'İ'.lower() is two characters; matches after it keep their offsets
+        tagger = GazetteerTagger([("Denver Broncos", "ORG")])
+        text = "İstanbul and Denver Broncos fans"
+        assert tagger(text) == [EntitySpan(13, 27, "ORG", "Denver Broncos")]
+        assert GazetteerTagger([("İSTANBUL", "GPE")])(text) == \
+            [EntitySpan(0, 8, "GPE", "İstanbul")]
+
+    def test_index_matches_full_scan_on_corpus(self, tagger, records):
+        texts = {r.passage for r in records} | {r.question for r in records}
+        texts |= {a for r in records for a, _ in r.answers}
+        hits = 0
+        for text in sorted(texts):
+            spans = tagger(text)
+            assert spans == reference_scan(tagger, text), text
+            hits += len(spans)
+        assert hits > 100
+
+    def test_index_matches_full_scan_on_random_texts(self, tagger):
+        rng = random.Random(20190911)
+        surfaces = [surface for surface, _ in tagger.entries]
+        hits = 0
+        for _ in range(1500):
+            text = random_gazetteer_text(rng, surfaces)
+            spans = tagger(text)
+            assert spans == reference_scan(tagger, text), text
+            hits += len(spans)
+        assert hits > 1500
 
     def test_tagger_failure_carries_source(self):
         def broken(text):

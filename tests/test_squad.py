@@ -9,6 +9,7 @@ from qgen.squad import (
     Bucket,
     InvertedExample,
     SchemaError,
+    SquadRecord,
     bucket_by_length,
     invert,
     load_examples,
@@ -17,7 +18,7 @@ from qgen.squad import (
     select_answer,
 )
 from qgen.wordpiece import TokenSequence
-from qgen.preprocess import PreprocessError, postprocess_question
+from qgen.preprocess import PreprocessError, postprocess_question, preprocess_pair
 
 
 def minimal_doc(qas):
@@ -129,6 +130,45 @@ class TestInvert:
         ex = next(e for e in examples if e.question_id == "sb-01")
         text = postprocess_question(TokenSequence.from_ids(ex.target_ids, vocab))
         assert text == "which ORG 1 team represented the ORG 2 at EVENT 0 DATE 0?"
+
+    def test_each_passage_is_encoded_once(self, records, tagger, stoplist, vocab):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tagger(text)
+
+        examples = invert(records, counting, stoplist, vocab)
+        # one call per distinct passage, then one per answer and per question
+        assert len(calls) == len({r.passage for r in records}) + 2 * len(records)
+        alone = [invert([rec], tagger, stoplist, vocab)[0]
+                 for rec in sorted(records, key=lambda r: r.question_id)]
+        assert [(e.question_id, e.input_ids, e.target_ids) for e in examples] == \
+               [(e.question_id, e.input_ids, e.target_ids) for e in alone]
+
+    def test_shared_passage_keeps_answer_entities_apart(self, tagger, stoplist, vocab):
+        # word boundaries keep "Brazil" and "Peru" untagged in the passage, so
+        # each answer adds its own entity to a copy of the passage's map
+        passage = "Brazilians and Peruvians met."
+        records = [
+            SquadRecord("T", passage, "q1", "who met Brazil?", [("Brazil", 0)]),
+            SquadRecord("T", passage, "q2", "who met Peru?", [("Peru", 15)]),
+        ]
+        memo = {}
+        for rec, expected in zip(records, ([["Brazil"]], [["Peru"]])):
+            _, tagged = preprocess_pair(rec.answers[0][0], passage, tagger,
+                                        stoplist, vocab, memo)
+            assert list(tagged.entity_map.values()) == expected
+        assert list(memo) == [passage]
+        assert memo[passage][1].entity_map == {}
+        both = invert(records, tagger, stoplist, vocab)
+        second = both[1]
+        assert second.input_ids[:3] == \
+            [vocab.id_of("GPE"), vocab.id_of("0"), vocab.separator_id]
+        assert postprocess_question(TokenSequence.from_ids(second.target_ids, vocab)) \
+            == "who met GPE 0?"
+        alone, = invert(records[1:], tagger, stoplist, vocab)
+        assert (second.input_ids, second.target_ids) == (alone.input_ids, alone.target_ids)
 
     def test_truncation_keeps_answer_and_separator(self, records, tagger, stoplist, vocab):
         examples = invert(records, tagger, stoplist, vocab,
