@@ -15,23 +15,20 @@ import sys
 from .evaluation import corpus_report
 from .generation import GenerationConfig, generate_batch
 from .model import ModelConfig, TransformerModel
-from .preprocess import (
-    ENTITY_TAGS,
-    GazetteerTagger,
-    PreprocessError,
-    default_data_path,
-    load_stopwords,
-)
+from .preprocess import ENTITY_TAGS, GazetteerTagger, default_data_path, load_stopwords
 from .squad import (
+    ID,
+    TEXT,
     SchemaError,
     bucket_by_length,
     invert,
     load_examples,
     load_squad,
+    read_jsonl,
     save_examples,
 )
 from .training import NumericalError, TrainConfig, train
-from .wordpiece import VocabularyError, load_vocabulary
+from .wordpiece import load_vocabulary
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -96,6 +93,8 @@ def load_config(config_path: str | None, overrides: list[tuple[str, str]]) -> di
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{config_path}: expected a JSON object of config keys")
         for key, value in doc.items():
             if key not in DEFAULTS:
                 raise SchemaError(f"unknown config key {key!r} in {config_path}")
@@ -157,42 +156,26 @@ def _parse_buckets(spec: str) -> list[tuple[int, int]]:
     bounds = []
     for part in spec.split(","):
         left, _, right = part.strip().partition(":")
-        bounds.append((int(left), int(right)))
+        try:
+            bounds.append((int(left), int(right)))
+        except ValueError:
+            raise ValueError(
+                f"data.buckets: expected input:target pairs such as 64:16, got {part!r}"
+            ) from None
     return bounds
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The keys of one config section without their prefix: model.d_model -> d_model."""
+    prefix = name + "."
+    return {k[len(prefix):]: v for k, v in cfg.items() if k.startswith(prefix)}
 
 
 def _model_config(cfg: dict, vocab) -> ModelConfig:
     return ModelConfig(
-        vocab_size=len(vocab),
-        d_model=cfg["model.d_model"],
-        num_heads=cfg["model.num_heads"],
-        enc_layers=cfg["model.enc_layers"],
-        dec_layers=cfg["model.dec_layers"],
-        d_ff=cfg["model.d_ff"],
-        max_positions=cfg["model.max_positions"],
-        dropout=cfg["model.dropout"],
-        pad_id=vocab.pad_id,
-        bos_id=vocab.bos_id,
-        eos_id=vocab.eos_id,
-        share_embeddings=cfg["model.share_embeddings"],
+        vocab_size=len(vocab), pad_id=vocab.pad_id, bos_id=vocab.bos_id,
+        eos_id=vocab.eos_id, **_section(cfg, "model"),
     )
-
-
-def _read_jsonl(path: str, required: tuple[str, ...]) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            for key in required:
-                if key not in row:
-                    raise SchemaError(f"{path}:{lineno}: missing field {key!r}")
-            rows.append(row)
-    return rows
 
 
 def _write_jsonl(path: str, rows: list[dict]) -> None:
@@ -246,17 +229,7 @@ def cmd_train(cfg: dict) -> int:
     examples = load_examples(cache_path)
     buckets = bucket_by_length(examples, _parse_buckets(cfg["data.buckets"]))
     model = TransformerModel(_model_config(cfg, vocab), seed=cfg["seed"])
-    train_cfg = TrainConfig(
-        total_steps=cfg["train.total_steps"],
-        base_lr=cfg["train.base_lr"],
-        warmup_steps=cfg["train.warmup_steps"],
-        batch_size=cfg["train.batch_size"],
-        checkpoint_interval=cfg["train.checkpoint_interval"],
-        seed=cfg["seed"],
-        clip_norm=cfg["train.clip_norm"],
-        label_smoothing=cfg["train.label_smoothing"],
-        weight_decay=cfg["train.weight_decay"],
-    )
+    train_cfg = TrainConfig(seed=cfg["seed"], **_section(cfg, "train"))
     state, ckpt_dir = train(model, buckets, train_cfg, cfg["paths.out_dir"])
     print(f"trained {state.step} steps; checkpoint at {ckpt_dir}")
     return EXIT_OK
@@ -274,14 +247,8 @@ def cmd_generate(cfg: dict, input_jsonl: str, output_jsonl: str) -> int:
     vocab, tagger, stoplist = _load_shared(cfg)
     ckpt = _checkpoint_dir(cfg)
     model = TransformerModel.load(os.path.join(ckpt, "model.bin"))
-    if not os.path.exists(input_jsonl):
-        raise FileNotFoundError(f"input file not found: {input_jsonl}")
-    records = _read_jsonl(input_jsonl, required=("id", "passage", "answer"))
-    gen_cfg = GenerationConfig(
-        beam_width=cfg["generate.beam_width"],
-        max_length=cfg["generate.max_length"],
-        length_alpha=cfg["generate.length_alpha"],
-    )
+    records = read_jsonl(input_jsonl, {"id": ID, "passage": TEXT, "answer": TEXT})
+    gen_cfg = GenerationConfig(**_section(cfg, "generate"))
     rows = generate_batch(
         model, records, tagger, stoplist, vocab, gen_cfg,
         max_input_ids=cfg["data.max_input_ids"],
@@ -292,14 +259,13 @@ def cmd_generate(cfg: dict, input_jsonl: str, output_jsonl: str) -> int:
 
 
 def cmd_evaluate(cfg: dict, refs_path: str, hyps_path: str) -> int:
-    for path in (refs_path, hyps_path):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"input file not found: {path}")
-    refs = _read_jsonl(refs_path, required=("id",))
-    hyps = _read_jsonl(hyps_path, required=("id",))
+    questions = ("question", "question_tagged")
+    fields = {"id": ID, "question": TEXT, "question_tagged": TEXT}
+    refs = read_jsonl(refs_path, fields, optional=questions)
+    hyps = read_jsonl(hyps_path, fields, optional=questions)
 
     def question_of(row: dict, path: str) -> str:
-        for key in ("question", "question_tagged"):
+        for key in questions:
             if key in row:
                 return row[key]
         raise SchemaError(f"{path}: row {row.get('id')!r} has no question field")
@@ -372,10 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SchemaError, VocabularyError, PreprocessError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -172,7 +172,7 @@ def generate_batch(
                 record["answer"], record["passage"], tagger, stoplist, vocab, passages
             )
             input_ids = clip_input(input_seq.ids, limit, vocab.separator_id)
-        except (PreprocessError, ValueError) as exc:
+        except ValueError as exc:
             raise PreprocessError(f"record {record['id']}: {exc}") from exc
         best = beam_search(model, np.array(input_ids, dtype=np.int64), cfg)[0]
         question = _preprocess.postprocess_question(

@@ -23,8 +23,8 @@ ENTITY_TAGS = (
 )
 
 
-class PreprocessError(RuntimeError):
-    """A pipeline stage failed; the message names the stage."""
+class PreprocessError(ValueError):
+    """An input could not be encoded; the message names the stage or record."""
 
 
 @dataclass(frozen=True)
@@ -272,25 +272,15 @@ def preprocess_pair(
     if passages is not None and passage in passages:
         passage_seq, passage_tagged = passages[passage]
     else:
-        try:
-            passage_seq, passage_tagged = tagged_wordpieces(
-                passage, tagger, vocab, stoplist, source="passage"
-            )
-        except PreprocessError:
-            raise
-        except Exception as exc:
-            raise PreprocessError(f"passage stage failed: {exc}") from exc
+        passage_seq, passage_tagged = tagged_wordpieces(
+            passage, tagger, vocab, stoplist, source="passage"
+        )
         if passages is not None:
             passages[passage] = passage_seq, passage_tagged
-    try:
-        answer_seq, joint = tagged_wordpieces(
-            answer, tagger, vocab, stoplist,
-            entity_map=passage_tagged.entity_map, source="answer",
-        )
-    except PreprocessError:
-        raise
-    except Exception as exc:
-        raise PreprocessError(f"answer stage failed: {exc}") from exc
+    answer_seq, joint = tagged_wordpieces(
+        answer, tagger, vocab, stoplist,
+        entity_map=passage_tagged.entity_map, source="answer",
+    )
     tokens = answer_seq.tokens + [SEPARATOR] + passage_seq.tokens
     ids = answer_seq.ids + [vocab.separator_id] + passage_seq.ids
     return TokenSequence(tokens, ids), TaggedPassage(passage_tagged.text, joint.entity_map)

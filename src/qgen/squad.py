@@ -69,10 +69,64 @@ class Bucket:
         )
 
 
-def _require(obj, key, path):
+# Field kinds of outside records: the phrase an error message uses -> the
+# test a value must pass. A Python bool is an int, so JSON true and false are
+# turned away where an integer is expected.
+TEXT = "a string"
+ID = "a string or an integer"
+INT = "an integer"
+LIST = "a list"
+IDS = "a list of integers"
+_KINDS = {
+    TEXT: lambda v: isinstance(v, str),
+    ID: lambda v: isinstance(v, (str, int)) and not isinstance(v, bool),
+    INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    LIST: lambda v: isinstance(v, list),
+    IDS: lambda v: isinstance(v, list) and all(type(i) is int for i in v),
+}
+
+
+def _check_kind(value, kind: str, where: str):
+    if not _KINDS[kind](value):
+        raise SchemaError(f"{where} must be {kind}, got {type(value).__name__}")
+    return value
+
+
+def _require(obj, key, path, kind: str):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"missing {key!r} at {path}")
-    return obj[key]
+    return _check_kind(obj[key], kind, f"{key!r} at {path}")
+
+
+def read_jsonl(path, fields: dict[str, str], optional: tuple[str, ...] = (),
+               skip: int = 0) -> list[dict]:
+    """Read one JSON object per non-blank line, after the first skip lines.
+
+    Each row must hold every field not named in optional, and each field it
+    holds must be of its kind (TEXT, ID, ...). Errors are SchemaErrors that
+    name path:line.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if lineno <= skip or not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(
+                    f"{where}: bad JSON: {exc.msg} at character {exc.pos}"
+                ) from exc
+            if not isinstance(row, dict):
+                raise SchemaError(f"{where}: expected a JSON object, got {type(row).__name__}")
+            for key, kind in fields.items():
+                if key in row:
+                    _check_kind(row[key], kind, f"{where}: field {key!r}")
+                elif key not in optional:
+                    raise SchemaError(f"{where}: missing field {key!r}")
+            rows.append(row)
+    return rows
 
 
 def load_squad(path) -> list[SquadRecord]:
@@ -83,25 +137,25 @@ def load_squad(path) -> list[SquadRecord]:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
     records: list[SquadRecord] = []
-    articles = _require(doc, "data", "$")
+    articles = _require(doc, "data", "$", LIST)
     for ai, article in enumerate(articles):
         apath = f"data[{ai}]"
-        title = _require(article, "title", apath)
-        for pi, para in enumerate(_require(article, "paragraphs", apath)):
+        title = _require(article, "title", apath, TEXT)
+        for pi, para in enumerate(_require(article, "paragraphs", apath, LIST)):
             ppath = f"{apath}.paragraphs[{pi}]"
-            context = _require(para, "context", ppath)
-            for qi, qa in enumerate(_require(para, "qas", ppath)):
+            context = _require(para, "context", ppath, TEXT)
+            for qi, qa in enumerate(_require(para, "qas", ppath, LIST)):
                 qpath = f"{ppath}.qas[{qi}]"
-                qid = str(_require(qa, "id", qpath))
-                question = _require(qa, "question", qpath)
-                raw_answers = _require(qa, "answers", qpath)
+                qid = str(_require(qa, "id", qpath, ID))
+                question = _require(qa, "question", qpath, TEXT)
+                raw_answers = _require(qa, "answers", qpath, LIST)
                 if not raw_answers:
                     raise SchemaError(f"empty answers at {qpath}")
                 answers = []
                 for ci, ans in enumerate(raw_answers):
                     cpath = f"{qpath}.answers[{ci}]"
-                    text = _require(ans, "text", cpath)
-                    start = int(_require(ans, "answer_start", cpath))
+                    text = _require(ans, "text", cpath, TEXT)
+                    start = _require(ans, "answer_start", cpath, INT)
                     if context[start : start + len(text)] != text:
                         raise SchemaError(f"answer offset mismatch at {cpath}")
                     answers.append((text, start))
@@ -158,7 +212,7 @@ def invert(
                 rec.question, tagger, vocab, stoplist=None,
                 entity_map=tagged.entity_map, source="question",
             )
-        except (PreprocessError, ValueError) as exc:
+        except ValueError as exc:
             raise PreprocessError(f"question {rec.question_id}: {exc}") from exc
         target_ids = (
             [vocab.bos_id] + question_seq.ids[: max_target_ids - 2] + [vocab.eos_id]
@@ -183,7 +237,7 @@ def bucket_by_length(
                 bucket.examples.append(ex)
                 break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 f"example {ex.question_id} exceeds the last bucket bound "
                 f"({len(ex.input_ids)}, {len(ex.target_ids)}) > {bounds[-1]}"
             )
@@ -210,10 +264,12 @@ def save_examples(examples: list[InvertedExample], path) -> None:
 
 def load_examples(path) -> list[InvertedExample]:
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != CACHE_FORMAT or header.get("version") != CACHE_VERSION:
-            raise SchemaError(f"unrecognized example cache header in {path}: {header}")
-        return [
-            InvertedExample(rec["id"], rec["input_ids"], rec["target_ids"])
-            for rec in (json.loads(line) for line in fh if line.strip())
-        ]
+        first = fh.readline()
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError:
+        header = None
+    if header != {"format": CACHE_FORMAT, "version": CACHE_VERSION}:
+        raise SchemaError(f"{path}:1: unrecognized example cache header")
+    rows = read_jsonl(path, {"id": TEXT, "input_ids": IDS, "target_ids": IDS}, skip=1)
+    return [InvertedExample(r["id"], r["input_ids"], r["target_ids"]) for r in rows]

@@ -189,7 +189,7 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     bucket size. Metrics go to out_dir/metrics.jsonl, one record per step
     (tokens_per_sec counts the non-pad input and target tokens); checkpoints
     land in out_dir/checkpoint every checkpoint_interval steps and at the
-    end. A resumed run (state.step > 0) first drops the log's records of
+    end, once. A resumed run (state.step > 0) first drops the log's records of
     later steps, which it is about to repeat.
     """
     occupied = [b for b in buckets if len(b) > 0]
@@ -206,6 +206,7 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     if state.step > 0:
         _truncate_log(metrics_path, state.step)
     mode = "a" if state.step > 0 else "w"
+    saved_step = None
     with open(metrics_path, mode, encoding="utf-8") as metrics:
         while state.step < config.total_steps:
             bucket = occupied[int(state.rng.choice(len(occupied), p=weights))]
@@ -231,7 +232,9 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
             metrics.flush()
             if state.step % config.checkpoint_interval == 0:
                 save_checkpoint(ckpt_dir, model, state, config)
-    save_checkpoint(ckpt_dir, model, state, config)
+                saved_step = state.step
+    if saved_step != state.step:
+        save_checkpoint(ckpt_dir, model, state, config)
     return state, ckpt_dir
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from qgen.cli import DEFAULTS, EXIT_INPUT, EXIT_IO, EXIT_OK, build_parser, main
+from qgen.generation import GenerationConfig
 from qgen.model import ModelConfig, TransformerModel
+from qgen.training import TrainConfig
 from conftest import DATA_DIR
 
 SMALL_FLAGS = [
@@ -24,6 +27,21 @@ def run_preprocess(tmp_path, extra=()):
         *extra,
     ]
     return main(argv), cache, out
+
+
+def save_small_checkpoint(out_dir, vocab, max_positions=16):
+    ckpt = out_dir / "checkpoint"
+    ckpt.mkdir(parents=True)
+    config = ModelConfig(vocab_size=len(vocab), d_model=8, num_heads=2,
+                         enc_layers=1, dec_layers=1, d_ff=16,
+                         max_positions=max_positions, dropout=0.0,
+                         pad_id=vocab.pad_id, bos_id=vocab.bos_id, eos_id=vocab.eos_id)
+    TransformerModel(config, seed=0).save(ckpt / "model.bin")
+
+
+def write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return path
 
 
 class TestHelp:
@@ -155,13 +173,7 @@ class TestPipeline:
 
 
     def test_max_length_beyond_max_positions_exits_2(self, tmp_path, capsys, vocab):
-        ckpt = tmp_path / "out" / "checkpoint"
-        ckpt.mkdir(parents=True)
-        config = ModelConfig(vocab_size=len(vocab), d_model=8, num_heads=2,
-                             enc_layers=1, dec_layers=1, d_ff=16, max_positions=16,
-                             dropout=0.0, pad_id=vocab.pad_id, bos_id=vocab.bos_id,
-                             eos_id=vocab.eos_id)
-        TransformerModel(config, seed=0).save(ckpt / "model.bin")
+        save_small_checkpoint(tmp_path / "out", vocab)
         gen_in = tmp_path / "gen_in.jsonl"
         gen_in.write_text(
             json.dumps({"id": "g1", "passage": "The gold was found in Warsaw.",
@@ -233,3 +245,109 @@ class TestExitCodeMapping:
         code = cli.main(["train", "--train.total_steps", "three"])
         assert code == cli.EXIT_INPUT
         assert "train.total_steps" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Each bad outside record exits 2 with a message naming where it is."""
+
+    def train_on(self, tmp_path, cache, *extra):
+        return main(["train", "--paths.examples_cache", str(cache),
+                     "--paths.out_dir", str(tmp_path / "run"),
+                     "--train.total_steps", "1", "--train.warmup_steps", "1", *extra])
+
+    def test_example_beyond_the_last_bucket_names_it(self, tmp_path, capsys):
+        _, cache, _ = run_preprocess(tmp_path)
+        capsys.readouterr()
+        assert self.train_on(tmp_path, cache, "--data.buckets", "64:16") == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: example " in err and "exceeds the last bucket bound" in err
+
+    @pytest.mark.parametrize("spec,part", [("64", "'64'"), ("64:16,x:24", "'x:24'")])
+    def test_bad_bucket_spec_names_the_key_and_part(self, tmp_path, capsys, spec, part):
+        _, cache, _ = run_preprocess(tmp_path)
+        capsys.readouterr()
+        assert self.train_on(tmp_path, cache, "--data.buckets", spec) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: data.buckets: " in err and part in err
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                                  if k != "target_ids"}),
+         "missing field 'target_ids'"),
+        (lambda line: line[:-5], "bad JSON"),
+        (lambda line: line.replace('"input_ids":[', '"input_ids":["x",'),
+         "field 'input_ids' must be a list of integers, got list"),
+    ], ids=["missing_field", "truncated", "ids_not_integers"])
+    def test_bad_cache_row_names_the_line(self, tmp_path, capsys, damage, message):
+        _, cache, _ = run_preprocess(tmp_path)
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        lines[2] = damage(lines[2])
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert self.train_on(tmp_path, cache) == EXIT_INPUT
+        assert f"error: {cache}:3: {message}" in capsys.readouterr().err
+
+    def test_generate_passage_not_a_string_names_the_line(self, tmp_path, capsys, vocab):
+        save_small_checkpoint(tmp_path / "out", vocab)
+        gen_in = write_jsonl(tmp_path / "in.jsonl", [
+            {"id": "g0", "passage": "The gold was found in Warsaw.", "answer": "gold"},
+            {"id": "g1", "passage": 123, "answer": "gold"},
+        ])
+        gen_out = tmp_path / "gen_out.jsonl"
+        argv = ["generate", "--paths.out_dir", str(tmp_path / "out"),
+                "--generate.max_length", "4", str(gen_in), str(gen_out)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: {gen_in}:2: field 'passage' must be a string, got int" in err
+        assert not gen_out.exists()
+
+    def test_evaluate_question_not_a_string_names_the_line(self, tmp_path, capsys):
+        refs = write_jsonl(tmp_path / "refs.jsonl", [{"id": "a", "question": 5}])
+        hyps = write_jsonl(tmp_path / "hyps.jsonl", [{"id": "a", "question": "b?"}])
+        argv = ["evaluate", "--paths.out_dir", str(tmp_path / "out"), str(refs), str(hyps)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: {refs}:1: field 'question' must be a string, got int" in err
+
+    @pytest.mark.parametrize("field,json_path", [
+        ("context", "data[0].paragraphs[0]"),
+        ("question", "data[0].paragraphs[0].qas[0]"),
+    ])
+    def test_squad_text_not_a_string_names_the_json_path(self, tmp_path, capsys,
+                                                         field, json_path):
+        qa = {"id": "q1", "question": "what?",
+              "answers": [{"text": "gold", "answer_start": 0}]}
+        para = {"context": "gold title here", "qas": [qa]}
+        (qa if field == "question" else para)[field] = 5
+        squad = tmp_path / "squad.json"
+        squad.write_text(json.dumps({"data": [{"title": "T", "paragraphs": [para]}]}),
+                         encoding="utf-8")
+        argv = ["preprocess", "--paths.squad_json", str(squad),
+                "--paths.examples_cache", str(tmp_path / "c.jsonl"),
+                "--paths.out_dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: '{field}' at {json_path} must be a string, got int" in err
+
+    def test_config_document_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text("[1, 2]", encoding="utf-8")
+        assert main(["train", "--config", str(cfg_file)]) == EXIT_INPUT
+        assert f"error: {cfg_file}: expected a JSON object" in capsys.readouterr().err
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("section,cls", [
+        ("model", ModelConfig), ("train", TrainConfig), ("generate", GenerationConfig),
+    ])
+    def test_each_key_is_a_field_with_the_same_default(self, section, cls):
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        keys = [k for k in DEFAULTS if k.startswith(section + ".")]
+        assert keys
+        for key in keys:
+            field = fields[key.split(".", 1)[1]]
+            if key == "train.total_steps":
+                assert field.default is dataclasses.MISSING
+            else:
+                assert field.default == DEFAULTS[key], key
+                assert type(field.default) is type(DEFAULTS[key]), key

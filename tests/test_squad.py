@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgen.squad import (
+    ID,
+    IDS,
+    TEXT,
     Bucket,
     InvertedExample,
     SchemaError,
@@ -14,6 +18,7 @@ from qgen.squad import (
     invert,
     load_examples,
     load_squad,
+    read_jsonl,
     save_examples,
     select_answer,
 )
@@ -55,6 +60,18 @@ class TestLoadSquad:
                             "answers": [{"text": "gold", "answer_start": 3}]}])
         with pytest.raises(SchemaError, match="offset"):
             load_squad(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("qa,message", [
+        ({"id": "q1", "question": "what?", "answers": [{"text": "gold", "answer_start": "0"}]},
+         "'answer_start' at data[0].paragraphs[0].qas[0].answers[0] must be an integer, got str"),
+        ({"id": "q1", "question": "what?", "answers": {"text": "gold"}},
+         "'answers' at data[0].paragraphs[0].qas[0] must be a list, got dict"),
+        ({"id": None, "question": "what?", "answers": []},
+         "'id' at data[0].paragraphs[0].qas[0] must be a string or an integer"),
+    ])
+    def test_field_of_the_wrong_kind_names_json_path(self, tmp_path, qa, message):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_squad(write_doc(tmp_path, minimal_doc([qa])))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -209,7 +226,7 @@ class TestBucketByLength:
 
     def test_oversized_example_rejected(self):
         ex = InvertedExample("q", [1] * 100, [1] * 4)
-        with pytest.raises(RuntimeError, match="exceeds"):
+        with pytest.raises(ValueError, match="exceeds"):
             bucket_by_length([ex], [(8, 4)])
 
     def test_non_ascending_bounds_rejected(self):
@@ -237,3 +254,25 @@ class TestExampleCache:
         path.write_text('{"format": "other", "version": 9}\n', encoding="utf-8")
         with pytest.raises(SchemaError):
             load_examples(path)
+
+
+class TestReadJsonl:
+    def test_rows_in_order_skipping_blank_and_leading_lines(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"head": 1}\n{"id": 7, "q": "a"}\n\n{"id": "x"}\n',
+                        encoding="utf-8")
+        rows = read_jsonl(path, {"id": ID, "q": TEXT}, optional=("q",), skip=1)
+        assert rows == [{"id": 7, "q": "a"}, {"id": "x"}]
+
+    @pytest.mark.parametrize("line,message", [
+        ('[1, 2]', "expected a JSON object, got list"),
+        ('{"id": true, "ids": []}', "field 'id' must be a string or an integer, got bool"),
+        ('{"id": "a", "ids": [1, 2.0]}', "field 'ids' must be a list of integers"),
+        ('{"id": "a", "ids": [], "q": null}', "field 'q' must be a string, got NoneType"),
+        ('{"ids": []}', "missing field 'id'"),
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"id": "ok", "ids": [1]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: {message}")):
+            read_jsonl(path, {"id": ID, "ids": IDS, "q": TEXT}, optional=("q",))

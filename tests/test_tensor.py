@@ -193,6 +193,11 @@ def _cross_entropy_pad_case(p):
     return cross_entropy_with_logits(p, np.array([1, 0, 2]), pad_id=2)
 
 
+def _cross_entropy_smoothed_pad_case(p):
+    return cross_entropy_with_logits(p, np.array([[1, 0, 2], [2, 4, 3]]), pad_id=2,
+                                     label_smoothing=0.1)
+
+
 def _layer_norm_case(p):
     gain = Parameter(np.ones(p.shape[-1]), "g")
     bias = Parameter(np.zeros(p.shape[-1]), "b")
@@ -213,6 +218,7 @@ PRIMITIVE_CASES = [
     ("embedding", (5, 3), _embedding_case),
     ("cross_entropy", (3, 7), _cross_entropy_case),
     ("cross_entropy_pad", (3, 7), _cross_entropy_pad_case),
+    ("cross_entropy_smoothed_pad", (2, 3, 7), _cross_entropy_smoothed_pad_case),
     ("concat_last", (3, 4), lambda p: tsum(concat_last([p, Tensor(np.ones((3, 2)))]))),
 ]
 
@@ -280,6 +286,18 @@ class TestCrossEntropy:
         logits[0, 1] = 50.0
         out = cross_entropy_with_logits(Tensor(logits), np.array([1, 0]), pad_id=0)
         assert out.item() == pytest.approx(0.0, abs=1e-12)
+
+    def test_label_smoothing_mixes_in_the_mean_log_probability(self):
+        logits = np.array([[0.5, -1.0, 2.0, 0.0], [1.0, 1.0, -3.0, 0.25],
+                           [9.0, 9.0, 9.0, 9.0]])
+        targets = np.array([2, 3, 0])
+        out = cross_entropy_with_logits(Tensor(logits), targets, pad_id=0,
+                                        label_smoothing=0.1)
+        expected = 0.0
+        for row, t in zip(logits[:2], targets[:2]):
+            logp = row - math.log(sum(math.exp(x) for x in row))
+            expected -= 0.9 * logp[t] + 0.1 * logp.mean()
+        assert out.item() == pytest.approx(expected / 2, abs=1e-12)
 
 
 class TestNoGrad:

@@ -137,6 +137,21 @@ class TestOptimizer:
         for p, b in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.data, b)
 
+    def test_weight_decay_adds_the_decayed_weights_to_the_update(self):
+        model = tiny_model()
+        state = TrainState(model, seed=0)
+        rng = np.random.default_rng(3)
+        before = []
+        for p in model.parameters():
+            p.grad = rng.normal(size=p.shape)
+            before.append((p.data.copy(), p.grad.copy()))
+        adam_step(model, state, lr=0.01, weight_decay=0.01)
+        # first step: bias-corrected moments are g and g*g, so Adam moves by
+        # g / (|g| + eps); weight decay adds 0.01 * w to that step
+        for p, (w, g) in zip(model.parameters(), before):
+            expected = w - 0.01 * (g / (np.abs(g) + 1e-9) + 0.01 * w)
+            np.testing.assert_allclose(p.data, expected, rtol=1e-12, atol=1e-15)
+
     def test_clip_bounds_global_norm(self):
         model = tiny_model()
         rng = np.random.default_rng(0)
@@ -205,6 +220,29 @@ class TestTrainLoop:
         assert state.step == 0
         assert (tmp_path / "run" / "checkpoint" / "model.bin").exists()
         assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("total,interval,saved", [
+        (2, 1, [1, 2]), (4, 2, [2, 4]), (5, 2, [2, 4, 5]), (0, 1, [0]),
+    ])
+    def test_each_checkpoint_is_written_once(self, tmp_path, monkeypatch,
+                                             total, interval, saved):
+        steps = []
+        real_save = training.save_checkpoint
+
+        def counting_save(directory, model, state, config):
+            steps.append(state.step)
+            real_save(directory, model, state, config)
+
+        monkeypatch.setattr(training, "save_checkpoint", counting_save)
+        cfg = TrainConfig(total_steps=total, warmup_steps=1, batch_size=2,
+                          checkpoint_interval=interval)
+        model = tiny_model(seed=4)
+        state, _ = train(model, [tiny_bucket()], cfg, tmp_path / "run")
+        assert steps == saved
+        del steps[:]
+        train(model, [tiny_bucket()], cfg, tmp_path / "resumed", state=state)
+        assert steps == [total]
+        assert (tmp_path / "resumed" / "checkpoint" / "model.bin").exists()
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         full_model = tiny_model(seed=6)
