@@ -11,13 +11,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .evaluation import corpus_report
 from .generation import GenerationConfig, generate_batch
 from .model import ModelConfig, TransformerModel
 from .preprocess import ENTITY_TAGS, GazetteerTagger, default_data_path, load_stopwords
 from .squad import (
+    DEFAULT_BUCKET_BOUNDS,
     ID,
+    MAX_INPUT_IDS,
+    MAX_TARGET_IDS,
     TEXT,
     SchemaError,
     bucket_by_length,
@@ -35,6 +39,17 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+
+def _keys(section: str, config, skip=()) -> dict[str, object]:
+    """section.field -> value for each field of a config, in field order."""
+    return {f"{section}.{k}": v for k, v in asdict(config).items() if k not in skip}
+
+
+# The ModelConfig fields that the vocabulary supplies; they have no config key.
+_FROM_VOCAB = ("vocab_size", "pad_id", "bos_id", "eos_id")
+
+# The config sections take their dataclasses' defaults. The top-level seed
+# supplies the training seed.
 DEFAULTS: dict[str, object] = {
     "paths.squad_json": "",
     "paths.vocab": "",
@@ -43,28 +58,12 @@ DEFAULTS: dict[str, object] = {
     "paths.examples_cache": "examples_cache.jsonl",
     "paths.out_dir": "out",
     "paths.checkpoint_dir": "",
-    "model.d_model": 128,
-    "model.num_heads": 4,
-    "model.enc_layers": 2,
-    "model.dec_layers": 2,
-    "model.d_ff": 512,
-    "model.max_positions": 512,
-    "model.dropout": 0.1,
-    "model.share_embeddings": True,
-    "data.max_input_ids": 512,
-    "data.max_target_ids": 48,
-    "data.buckets": "64:16,128:24,256:32,512:48",
-    "train.total_steps": 1000,
-    "train.base_lr": 1e-3,
-    "train.warmup_steps": 400,
-    "train.batch_size": 32,
-    "train.checkpoint_interval": 500,
-    "train.clip_norm": 1.0,
-    "train.label_smoothing": 0.0,
-    "train.weight_decay": 0.0,
-    "generate.beam_width": 4,
-    "generate.max_length": 48,
-    "generate.length_alpha": 0.6,
+    **_keys("model", ModelConfig(vocab_size=1), skip=_FROM_VOCAB),
+    "data.max_input_ids": MAX_INPUT_IDS,
+    "data.max_target_ids": MAX_TARGET_IDS,
+    "data.buckets": ",".join(f"{a}:{b}" for a, b in DEFAULT_BUCKET_BOUNDS),
+    **_keys("train", TrainConfig(total_steps=1000), skip=("seed",)),
+    **_keys("generate", GenerationConfig()),
     "seed": 0,
 }
 
@@ -117,21 +116,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args: argparse.Namespace) -> list[tuple[str, str]]:
-    overrides = []
-    for key in DEFAULTS:
-        value = getattr(args, key.replace(".", "__"), None)
-        if value is not None:
-            overrides.append((key, value))
-    return overrides
-
-
-def _resource_or_path(cfg: dict, key: str, packaged: str):
-    value = cfg[key]
-    if value:
-        if not os.path.exists(value):
-            raise FileNotFoundError(f"{key}: no such file: {value}")
-        return value
-    return default_data_path(packaged)
+    values = ((key, getattr(args, key.replace(".", "__"), None)) for key in DEFAULTS)
+    return [(key, value) for key, value in values if value is not None]
 
 
 def _require_file(cfg: dict, key: str) -> str:
@@ -141,6 +127,10 @@ def _require_file(cfg: dict, key: str) -> str:
     if not os.path.exists(value):
         raise FileNotFoundError(f"{key}: no such file: {value}")
     return value
+
+
+def _resource_or_path(cfg: dict, key: str, packaged: str):
+    return _require_file(cfg, key) if cfg[key] else default_data_path(packaged)
 
 
 def _load_shared(cfg: dict):
@@ -172,10 +162,8 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _model_config(cfg: dict, vocab) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=len(vocab), pad_id=vocab.pad_id, bos_id=vocab.bos_id,
-        eos_id=vocab.eos_id, **_section(cfg, "model"),
-    )
+    supplied = (len(vocab), vocab.pad_id, vocab.bos_id, vocab.eos_id)
+    return ModelConfig(**dict(zip(_FROM_VOCAB, supplied)), **_section(cfg, "model"))
 
 
 def _write_jsonl(path: str, rows: list[dict]) -> None:
@@ -264,14 +252,20 @@ def cmd_evaluate(cfg: dict, refs_path: str, hyps_path: str) -> int:
     refs = read_jsonl(refs_path, fields, optional=questions)
     hyps = read_jsonl(hyps_path, fields, optional=questions)
 
-    def question_of(row: dict, path: str) -> str:
-        for key in questions:
-            if key in row:
-                return row[key]
-        raise SchemaError(f"{path}: row {row.get('id')!r} has no question field")
+    def questions_by_id(rows: list[dict], path: str) -> dict[str, str]:
+        found: dict[str, str] = {}
+        for row in rows:
+            qid = str(row["id"])
+            if qid in found:
+                raise SchemaError(f"{path}: id {qid!r} appears more than once")
+            question = next((row[key] for key in questions if key in row), None)
+            if question is None:
+                raise SchemaError(f"{path}: row {row['id']!r} has no question field")
+            found[qid] = question
+        return found
 
-    ref_map = {str(r["id"]): question_of(r, refs_path) for r in refs}
-    hyp_map = {str(r["id"]): question_of(r, hyps_path) for r in hyps}
+    ref_map = questions_by_id(refs, refs_path)
+    hyp_map = questions_by_id(hyps, hyps_path)
     unmatched = sorted(set(ref_map) ^ set(hyp_map))
     if unmatched:
         shown = ", ".join(unmatched[:10])

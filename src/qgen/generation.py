@@ -32,12 +32,11 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class BeamHypothesis:
-    """A decoded sequence (ending in the end marker once finished) and the
-    exact sum of its per-step token log-probabilities."""
+    """A decoded sequence, ending in the end marker, and the exact sum of
+    its per-step token log-probabilities."""
 
     tokens: tuple[int, ...]
     log_prob: float
-    finished: bool
 
     def score(self, alpha: float) -> float:
         return self.log_prob / (len(self.tokens) ** alpha)
@@ -93,7 +92,7 @@ def _search(
                 kept = []
                 for tokens, total, row in found:
                     if tokens[-1] == eos:
-                        pools[search].append(BeamHypothesis(tokens, total, True))
+                        pools[search].append(BeamHypothesis(tokens, total))
                     else:
                         kept.append((tokens, total, row))
                 kept.sort(key=lambda c: (-c[1], c[0]))

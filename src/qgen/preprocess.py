@@ -178,28 +178,24 @@ def replace_with_indexed_tags(
     return TaggedPassage("".join(out), emap)
 
 
-def _is_punctuation(c: str) -> bool:
-    cp = ord(c)
-    if 33 <= cp <= 47 or 58 <= cp <= 64 or 91 <= cp <= 96 or 123 <= cp <= 126:
-        return True
-    return unicodedata.category(c).startswith("P")
+# In ASCII, symbols such as $ and + split words too; elsewhere only the
+# Unicode punctuation categories (P*) do.
+_ASCII_PUNCTUATION = frozenset(c for c in map(chr, range(33, 127)) if not c.isalnum())
 
 
 def split_words(text: str) -> list[str]:
     """Whitespace-split, then break punctuation characters into their own tokens."""
     words: list[str] = []
     for chunk in text.split():
-        current = ""
-        for c in chunk:
-            if _is_punctuation(c):
-                if current:
-                    words.append(current)
-                    current = ""
+        start = 0
+        for i, c in enumerate(chunk):
+            if c in _ASCII_PUNCTUATION or (not c.isascii() and unicodedata.category(c)[0] == "P"):
+                if start < i:
+                    words.append(chunk[start:i])
                 words.append(c)
-            else:
-                current += c
-        if current:
-            words.append(current)
+                start = i + 1
+        if start < len(chunk):
+            words.append(chunk[start:])
     return words
 
 

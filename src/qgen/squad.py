@@ -102,22 +102,26 @@ def read_jsonl(path, fields: dict[str, str], optional: tuple[str, ...] = (),
                skip: int = 0) -> list[dict]:
     """Read one JSON object per non-blank line, after the first skip lines.
 
-    Each row must hold every field not named in optional, and each field it
-    holds must be of its kind (TEXT, ID, ...). Errors are SchemaErrors that
-    name path:line.
+    Each row must be UTF-8 and hold every field not named in optional, and
+    each field it holds must be of its kind (TEXT, ID, ...). Errors are
+    SchemaErrors that name path:line.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if lineno <= skip or not line.strip():
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if lineno <= skip:
                 continue
             where = f"{path}:{lineno}"
             try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{where}: not UTF-8 (byte 0x{raw[exc.start]:02x})") from None
+            if not line.strip():
+                continue
+            try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise SchemaError(
-                    f"{where}: bad JSON: {exc.msg} at character {exc.pos}"
-                ) from exc
+                raise SchemaError(f"{where}: bad JSON: {exc.msg} at character {exc.pos}") from exc
             if not isinstance(row, dict):
                 raise SchemaError(f"{where}: expected a JSON object, got {type(row).__name__}")
             for key, kind in fields.items():
@@ -131,11 +135,15 @@ def read_jsonl(path, fields: dict[str, str], optional: tuple[str, ...] = (),
 
 def load_squad(path) -> list[SquadRecord]:
     """Parse a SQuAD v1.1 JSON file into one record per question."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = 1 + raw.count(b"\n", 0, exc.start)
+        raise SchemaError(f"{path}:{line}: not UTF-8 (byte 0x{raw[exc.start]:02x})") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
     records: list[SquadRecord] = []
     articles = _require(doc, "data", "$", LIST)
     for ai, article in enumerate(articles):
@@ -263,11 +271,11 @@ def save_examples(examples: list[InvertedExample], path) -> None:
 
 
 def load_examples(path) -> list[InvertedExample]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         first = fh.readline()
     try:
-        header = json.loads(first)
-    except json.JSONDecodeError:
+        header = json.loads(first.decode("utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
         header = None
     if header != {"format": CACHE_FORMAT, "version": CACHE_VERSION}:
         raise SchemaError(f"{path}:1: unrecognized example cache header")

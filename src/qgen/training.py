@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import TransformerModel, read_container, write_container
+from .model import ModelConfig, TransformerModel, read_container, write_container
 from .squad import Bucket
 from .tensor import ShapeError, backward, cross_entropy_with_logits, no_grad
 
@@ -26,9 +26,6 @@ class NumericalError(RuntimeError):
         super().__init__(
             f"non-finite loss at step {step} (bucket {bucket}, lr {lr:.3e})"
         )
-        self.step = step
-        self.bucket = bucket
-        self.lr = lr
 
 
 @dataclass
@@ -63,11 +60,10 @@ def learning_rate(step: int, config: TrainConfig) -> float:
 
 
 class TrainState:
-    """Step counter, Adam moments, best loss, and the sampling/dropout RNG."""
+    """Step counter, Adam moments, and the sampling/dropout RNG."""
 
     def __init__(self, model: TransformerModel, seed: int):
         self.step = 0
-        self.best_loss = float("inf")
         self.rng = np.random.default_rng(seed)
         self.m = {p.name: np.zeros_like(p.data) for p in model.parameters()}
         self.v = {p.name: np.zeros_like(p.data) for p in model.parameters()}
@@ -75,11 +71,7 @@ class TrainState:
     def save(self, path) -> None:
         tensors = [(f"m:{k}", a) for k, a in self.m.items()]
         tensors += [(f"v:{k}", a) for k, a in self.v.items()]
-        meta = {
-            "step": self.step,
-            "best_loss": self.best_loss,
-            "rng_state": self.rng.bit_generator.state,
-        }
+        meta = {"step": self.step, "rng_state": self.rng.bit_generator.state}
         write_container(path, meta, tensors)
 
     @classmethod
@@ -87,7 +79,6 @@ class TrainState:
         meta, arrays = read_container(path)
         state = cls(model, seed=0)
         state.step = int(meta["step"])
-        state.best_loss = float(meta["best_loss"])
         state.rng.bit_generator.state = meta["rng_state"]
         for p in model.parameters():
             state.m[p.name] = arrays[f"m:{p.name}"]
@@ -152,7 +143,6 @@ def train_step(model: TransformerModel, batch, state: TrainState,
     clip_gradients(model, config.clip_norm)
     adam_step(model, state, lr, config.weight_decay)
     state.step += 1
-    state.best_loss = min(state.best_loss, value)
     return value
 
 
@@ -195,6 +185,8 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     occupied = [b for b in buckets if len(b) > 0]
     if not occupied and config.total_steps > 0:
         raise ValueError("train: all buckets are empty")
+    for bucket in occupied:
+        _check_fits(bucket, model.config)
     os.makedirs(out_dir, exist_ok=True)
     ckpt_dir = os.path.join(out_dir, "checkpoint")
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
@@ -236,6 +228,21 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     if saved_step != state.step:
         save_checkpoint(ckpt_dir, model, state, config)
     return state, ckpt_dir
+
+
+def _check_fits(bucket: Bucket, config: ModelConfig) -> None:
+    """Refuse a bucket wider than the model's positions or holding an id
+    outside its vocabulary (the decoder reads targets less their last id)."""
+    need = max(bucket.max_input, bucket.max_target - 1)
+    if need > config.max_positions:
+        raise ValueError(f"bucket {bucket.max_input}x{bucket.max_target} needs {need} "
+                         f"positions, more than max_positions {config.max_positions}")
+    for ex in bucket.examples:
+        ids = ex.input_ids + ex.target_ids
+        if min(ids, default=0) < 0 or max(ids, default=0) >= config.vocab_size:
+            bad = min(ids) if min(ids) < 0 else max(ids)
+            raise ValueError(f"example {ex.question_id}: token id {bad} is outside "
+                             f"the vocabulary [0, {config.vocab_size})")
 
 
 def _truncate_log(path, step: int) -> None:

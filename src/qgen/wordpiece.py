@@ -97,11 +97,6 @@ class Vocabulary:
     def token_of(self, token_id: int) -> str:
         return self.tokens[token_id]
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
-
 
 @dataclass
 class TokenSequence:

@@ -206,6 +206,18 @@ class TestEvaluateErrors:
         assert "16 unmatched ids" in err
         assert err.count("r") >= 9
 
+    @pytest.mark.parametrize("side", ["refs", "hyps"])
+    def test_repeated_id_exits_2_naming_the_file_and_id(self, tmp_path, capsys, side):
+        once = [{"id": "a", "question": "what is it?"}]
+        twice = once + [{"id": "a", "question": "who?"}]
+        refs = write_jsonl(tmp_path / "refs.jsonl", twice if side == "refs" else once)
+        hyps = write_jsonl(tmp_path / "hyps.jsonl", twice if side == "hyps" else once)
+        argv = ["evaluate", "--paths.out_dir", str(tmp_path / "out"), str(refs), str(hyps)]
+        assert main(argv) == EXIT_INPUT
+        path = refs if side == "refs" else hyps
+        assert f"error: {path}: id 'a' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_config_file_round_trip(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"seed": 5, "train.total_steps": 7}),
@@ -328,6 +340,60 @@ class TestInputErrors:
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"error: '{field}' at {json_path} must be a string, got int" in err
+
+    @pytest.mark.parametrize("positions,buckets,need", [
+        ("64", "64:16,128:24", 128), ("128", "128:200", 199),
+    ], ids=["input", "target"])
+    def test_bucket_wider_than_the_model_stops_before_step_1(self, tmp_path, capsys,
+                                                            positions, buckets, need):
+        _, cache, _ = run_preprocess(tmp_path)
+        capsys.readouterr()
+        code = self.train_on(tmp_path, cache, *SMALL_FLAGS, "--model.max_positions", positions,
+                             "--data.buckets", buckets, "--train.total_steps", "40")
+        assert code == EXIT_INPUT
+        label = buckets.split(",")[-1].replace(":", "x")
+        assert (f"error: bucket {label} needs {need} positions, "
+                f"more than max_positions {positions}") in capsys.readouterr().err
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+    def test_id_outside_the_vocabulary_names_the_example(self, tmp_path, capsys, vocab):
+        _, cache, _ = run_preprocess(tmp_path)
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[-1])
+        row["input_ids"][1] = 999999
+        lines[-1] = json.dumps(row)
+        cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = self.train_on(tmp_path, cache, *SMALL_FLAGS, "--train.total_steps", "40")
+        assert code == EXIT_INPUT
+        assert (f"error: example {row['id']}: token id 999999 is outside the "
+                f"vocabulary [0, {len(vocab)})") in capsys.readouterr().err
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+    def test_evaluate_input_not_utf8_names_the_line(self, tmp_path, capsys):
+        refs = tmp_path / "refs.jsonl"
+        refs.write_bytes(b'{"id": "a", "question": "what?"}\n'
+                         + '{"id": "b", "question": "café?"}\n'.encode("latin-1"))
+        hyps = write_jsonl(tmp_path / "hyps.jsonl", [{"id": "a", "question": "what?"},
+                                                     {"id": "b", "question": "who?"}])
+        argv = ["evaluate", "--paths.out_dir", str(tmp_path / "out"), str(refs), str(hyps)]
+        assert main(argv) == EXIT_INPUT
+        assert f"error: {refs}:2: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
+
+    def test_squad_json_not_utf8_names_the_line(self, tmp_path, capsys):
+        qa = {"id": "q1", "question": "what?",
+              "answers": [{"text": "gold", "answer_start": 0}]}
+        doc = {"data": [{"title": "T", "paragraphs": [
+            {"context": "gold in the café", "qas": [qa]}]}]}
+        squad = tmp_path / "squad.json"
+        squad.write_bytes(json.dumps(doc, indent=1, ensure_ascii=False).encode("latin-1"))
+        line = 1 + squad.read_bytes()[: squad.read_bytes().index(b"\xe9")].count(b"\n")
+        assert line > 1
+        argv = ["preprocess", "--paths.squad_json", str(squad),
+                "--paths.examples_cache", str(tmp_path / "c.jsonl"),
+                "--paths.out_dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INPUT
+        assert f"error: {squad}:{line}: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
 
     def test_config_document_not_an_object_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.json"

