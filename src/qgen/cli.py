@@ -32,7 +32,7 @@ from .squad import (
     save_examples,
 )
 from .training import NumericalError, TrainConfig, train
-from .wordpiece import load_vocabulary
+from .wordpiece import load_vocabulary, read_lines
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -90,8 +90,12 @@ def _parse_value(key: str, raw: str):
 def load_config(config_path: str | None, overrides: list[tuple[str, str]]) -> dict:
     cfg = dict(DEFAULTS)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        text = "\n".join(line for _, line in read_lines(config_path, SchemaError))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{config_path}:{exc.lineno}: bad JSON: {exc.msg} "
+                              f"at column {exc.colno}") from None
         if not isinstance(doc, dict):
             raise SchemaError(f"{config_path}: expected a JSON object of config keys")
         for key, value in doc.items():
@@ -273,6 +277,8 @@ def cmd_evaluate(cfg: dict, refs_path: str, hyps_path: str) -> int:
             f"{len(unmatched)} unmatched ids between {refs_path} and {hyps_path}: {shown}"
         )
     pairs = [(qid, ref_map[qid], hyp_map[qid]) for qid in sorted(ref_map)]
+    if not pairs:
+        raise SchemaError(f"no questions to compare in {refs_path} and {hyps_path}")
     report = corpus_report(pairs)
     out_dir = cfg["paths.out_dir"]
     os.makedirs(out_dir, exist_ok=True)

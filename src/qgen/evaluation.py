@@ -41,41 +41,62 @@ class EditAlignment:
 
 
 def edit_alignment(ref_words: list[str], hyp_words: list[str]) -> EditAlignment:
-    """Unit-cost Levenshtein over words via dynamic programming.
+    """Unit-cost Levenshtein over words, computed bit-parallel over the
+    reference words (Myers 1999, in Hyyro's formulation).
+
+    D(i, j) is the distance between the first i reference words and the
+    first j hypothesis words. Column j of D is kept as two masks of its
+    vertical steps D(i, j) - D(i-1, j): bit i-1 of plus is set where the step
+    is +1, of minus where it is -1, so D(i, j) = j + the popcount of the i
+    lowest bits of plus - that of minus. Each hypothesis word is one column
+    step on Python ints, which have no width limit.
 
     Among minimal alignments the backtrace prefers correct, then substitution,
     then deletion, then insertion, which pins the decomposition down even when
     several alignments share the minimal distance.
     """
     n, m = len(ref_words), len(hyp_words)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dp[i][0] = i
-    for j in range(1, m + 1):
-        dp[0][j] = j
-    for i in range(1, n + 1):
-        row, prev = dp[i], dp[i - 1]
-        ref_word = ref_words[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if ref_word == hyp_words[j - 1] else 1
-            row[j] = min(prev[j - 1] + cost, prev[j] + 1, row[j - 1] + 1)
+    match: dict[str, int] = {}
+    for i, word in enumerate(ref_words):
+        match[word] = match.get(word, 0) | 1 << i
+    rows = (1 << n) - 1
+    plus, minus = rows, 0
+    plus_cols, minus_cols = [plus], [minus]
+    for word in hyp_words:
+        eq = match.get(word, 0)
+        down = eq | minus
+        across = (((eq & plus) + plus) ^ plus) | eq
+        # horizontal steps, moved down a row; row 0 steps by +1
+        h_plus = (minus | ~(across | plus)) << 1 | 1
+        h_minus = (plus & across) << 1
+        plus = (h_minus | ~(down | h_plus)) & rows
+        minus = h_plus & down
+        plus_cols.append(plus)
+        minus_cols.append(minus)
     s = d = ins = c = 0
     i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and ref_words[i - 1] == hyp_words[j - 1] \
-                and dp[i][j] == dp[i - 1][j - 1]:
+    cost = m + plus.bit_count() - minus.bit_count()  # D(i, j)
+    while i and j:
+        # D never falls along a diagonal, so a matching word is a minimal step
+        if ref_words[i - 1] == hyp_words[j - 1]:
             c += 1
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1:
+            continue
+        below = (1 << (i - 1)) - 1
+        diag = (j - 1 + (plus_cols[j - 1] & below).bit_count()
+                - (minus_cols[j - 1] & below).bit_count())
+        if cost == diag + 1:
             s += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+            i, j, cost = i - 1, j - 1, diag
+            continue
+        up = j + (plus_cols[j] & below).bit_count() - (minus_cols[j] & below).bit_count()
+        if cost == up + 1:
             d += 1
-            i -= 1
+            i, cost = i - 1, up
         else:
             ins += 1
-            j -= 1
-    return EditAlignment(s, d, ins, c)
+            j, cost = j - 1, cost - 1
+    return EditAlignment(s, d + i, ins + j, c)
 
 
 def wer_normalized(alignment: EditAlignment) -> float:

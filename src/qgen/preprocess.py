@@ -9,12 +9,15 @@ order; repeats of the same surface (case-insensitive) share an index.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Protocol
 
-from .wordpiece import BOS, EOS, PAD, SEPARATOR, TokenSequence, Vocabulary, detokenize, tokenize
+from .wordpiece import (
+    BOS, EOS, PAD, SEPARATOR, TokenSequence, Vocabulary, detokenize, read_lines, tokenize,
+)
 
 ENTITY_TAGS = (
     "PERSON", "NORP", "FAC", "ORG", "GPE", "LOC", "PRODUCT", "EVENT",
@@ -61,6 +64,11 @@ def _is_word_char(c: str) -> bool:
     return c.isalnum() or c == "_"
 
 
+# Each character that no word character precedes; in a str pattern, \w is
+# exactly _is_word_char.
+_WORD_START = re.compile(r"(?<!\w).", re.DOTALL)
+
+
 class GazetteerTagger:
     """Deterministic tagger: longest surface form wins, word boundaries only,
     case-insensitive. A stand-in for a statistical recognizer.
@@ -90,37 +98,31 @@ class GazetteerTagger:
     @classmethod
     def from_tsv(cls, path) -> "GazetteerTagger":
         entries = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'surface<TAB>TAG'")
-                entries.append((parts[0], parts[1]))
+        for lineno, line in read_lines(path):
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'surface<TAB>TAG'")
+            entries.append((parts[0], parts[1]))
         return cls(entries)
 
     def __call__(self, text: str) -> list[EntitySpan]:
         spans: list[EntitySpan] = []
-        i, n = 0, len(text)
-        while i < n:
-            if i > 0 and _is_word_char(text[i - 1]):
-                i += 1
+        n = len(text)
+        end = 0
+        for match in _WORD_START.finditer(text):
+            i = match.start()
+            if i < end:
                 continue
-            hit = None
             for length, folded, tag in self._index.get(text[i].lower()[0], ()):
                 j = i + length
                 if j <= n and text[i:j].lower() == folded and (
                     j == n or not _is_word_char(text[j])
                 ):
-                    hit = EntitySpan(i, j, tag, text[i:j])
+                    spans.append(EntitySpan(i, j, tag, text[i:j]))
+                    end = j
                     break
-            if hit is not None:
-                spans.append(hit)
-                i = hit.end
-            else:
-                i += 1
         return spans
 
 
@@ -179,29 +181,29 @@ def replace_with_indexed_tags(
 
 
 # In ASCII, symbols such as $ and + split words too; elsewhere only the
-# Unicode punctuation categories (P*) do.
-_ASCII_PUNCTUATION = frozenset(c for c in map(chr, range(33, 127)) if not c.isalnum())
+# Unicode punctuation categories (P*) do. The regex finds each run of
+# characters that are neither whitespace nor ASCII punctuation, and each ASCII
+# punctuation character; a run holding a non-ASCII character is then split
+# again at its Unicode punctuation.
+_ASCII_PUNCTUATION = re.escape("".join(c for c in map(chr, range(33, 127)) if not c.isalnum()))
+_WORDS = re.compile(rf"[^\s{_ASCII_PUNCTUATION}]+|[{_ASCII_PUNCTUATION}]")
 
 
 def split_words(text: str) -> list[str]:
     """Whitespace-split, then break punctuation characters into their own tokens."""
     words: list[str] = []
-    for chunk in text.split():
-        start = 0
-        for i, c in enumerate(chunk):
-            if c in _ASCII_PUNCTUATION or (not c.isascii() and unicodedata.category(c)[0] == "P"):
-                if start < i:
-                    words.append(chunk[start:i])
-                words.append(c)
-                start = i + 1
-        if start < len(chunk):
-            words.append(chunk[start:])
+    for word in _WORDS.findall(text):
+        if word.isascii():
+            words.append(word)
+        else:
+            # word holds no whitespace, so spaces put round its punctuation split it
+            words += "".join(f" {c} " if unicodedata.category(c)[0] == "P" else c
+                             for c in word).split()
     return words
 
 
 def load_stopwords(path) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(w.strip() for w in fh if w.strip())
+    return frozenset(w.strip() for _, w in read_lines(path) if w.strip())
 
 
 def _is_protected(token: str) -> bool:

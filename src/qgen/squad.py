@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .preprocess import EntityTagger, PreprocessError, tagged_wordpieces, preprocess_pair
-from .wordpiece import Vocabulary
+from .wordpiece import Vocabulary, read_lines
 
 MAX_INPUT_IDS = 512
 MAX_TARGET_IDS = 48
@@ -107,41 +107,30 @@ def read_jsonl(path, fields: dict[str, str], optional: tuple[str, ...] = (),
     SchemaErrors that name path:line.
     """
     rows = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if lineno <= skip:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"{where}: not UTF-8 (byte 0x{raw[exc.start]:02x})") from None
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: bad JSON: {exc.msg} at character {exc.pos}") from exc
-            if not isinstance(row, dict):
-                raise SchemaError(f"{where}: expected a JSON object, got {type(row).__name__}")
-            for key, kind in fields.items():
-                if key in row:
-                    _check_kind(row[key], kind, f"{where}: field {key!r}")
-                elif key not in optional:
-                    raise SchemaError(f"{where}: missing field {key!r}")
-            rows.append(row)
+    for lineno, line in read_lines(path, SchemaError):
+        if lineno <= skip or not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{where}: bad JSON: {exc.msg} at character {exc.pos}") from exc
+        if not isinstance(row, dict):
+            raise SchemaError(f"{where}: expected a JSON object, got {type(row).__name__}")
+        for key, kind in fields.items():
+            if key in row:
+                _check_kind(row[key], kind, f"{where}: field {key!r}")
+            elif key not in optional:
+                raise SchemaError(f"{where}: missing field {key!r}")
+        rows.append(row)
     return rows
 
 
 def load_squad(path) -> list[SquadRecord]:
     """Parse a SQuAD v1.1 JSON file into one record per question."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    text = "\n".join(line for _, line in read_lines(path, SchemaError))
     try:
-        doc = json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        line = 1 + raw.count(b"\n", 0, exc.start)
-        raise SchemaError(f"{path}:{line}: not UTF-8 (byte 0x{raw[exc.start]:02x})") from None
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
     records: list[SquadRecord] = []

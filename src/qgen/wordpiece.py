@@ -122,10 +122,22 @@ class TokenSequence:
         return cls([vocab.token_of(i) for i in ids], ids)
 
 
+def read_lines(path, error: type[ValueError] = ValueError):
+    """Yield (line number, line) for each line of a UTF-8 text file, without
+    its line end (\\n or \\r\\n). The file is read in binary and decoded a
+    line at a time, so a byte that is not UTF-8 raises error naming path:line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 (byte 0x{raw[exc.start]:02x})") from None
+            yield lineno, line.removesuffix("\n").removesuffix("\r")
+
+
 def load_vocabulary(path) -> Vocabulary:
     """Read a UTF-8 vocabulary file, one token per line, line number = id."""
-    with open(path, encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh]
+    tokens = [line for _, line in read_lines(path, VocabularyError)]
     while tokens and tokens[-1] == "":
         tokens.pop()
     return Vocabulary(tokens)
@@ -133,7 +145,7 @@ def load_vocabulary(path) -> Vocabulary:
 
 def tokenize(word: str, vocab: Vocabulary) -> TokenSequence:
     """Split one whitespace-free word into pieces, greedy longest-match-first."""
-    if not word or any(c.isspace() for c in word):
+    if word.split() != [word]:
         raise ValueError(f"tokenize expects a non-empty, whitespace-free word: {word!r}")
     if len(word) > MAX_WORD_CHARS:
         return TokenSequence([UNK], [vocab.unk_id])

@@ -401,6 +401,40 @@ class TestInputErrors:
         assert main(["train", "--config", str(cfg_file)]) == EXIT_INPUT
         assert f"error: {cfg_file}: expected a JSON object" in capsys.readouterr().err
 
+    def test_config_document_not_json_names_the_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{\n  "seed": 3,\n  "paths.out_dir" "x"\n}\n', encoding="utf-8")
+        assert main(["train", "--config", str(cfg_file)]) == EXIT_INPUT
+        assert f"error: {cfg_file}:3: bad JSON: Expecting ':' delimiter" \
+            in capsys.readouterr().err
+
+    def test_config_document_not_utf8_names_the_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_bytes('{\n  "paths.out_dir": "café"\n}\n'.encode("latin-1"))
+        assert main(["train", "--config", str(cfg_file)]) == EXIT_INPUT
+        assert f"error: {cfg_file}:2: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,good_line", [
+        ("paths.stopwords", "the"),
+        ("paths.vocab", "[PAD]"),
+        ("paths.gazetteer", "Warsaw\tGPE"),
+    ])
+    def test_resource_file_not_utf8_names_the_line(self, tmp_path, capsys, key, good_line):
+        path = tmp_path / "resource.txt"
+        path.write_bytes(f"{good_line}\ncafé\n".encode("latin-1"))
+        code, _, _ = run_preprocess(tmp_path, [f"--{key}", str(path)])
+        assert code == EXIT_INPUT
+        assert f"error: {path}:2: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
+
+    def test_evaluate_without_questions_names_both_files(self, tmp_path, capsys):
+        refs = write_jsonl(tmp_path / "refs.jsonl", [])
+        hyps = write_jsonl(tmp_path / "hyps.jsonl", [])
+        argv = ["evaluate", "--paths.out_dir", str(tmp_path / "out"), str(refs), str(hyps)]
+        assert main(argv) == EXIT_INPUT
+        assert f"error: no questions to compare in {refs} and {hyps}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestConfigSections:
     @pytest.mark.parametrize("section,cls", [

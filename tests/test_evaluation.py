@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +33,40 @@ def brute_distance(ref, hyp):
         return min(rec(i - 1, j - 1) + sub, rec(i - 1, j) + 1, rec(i, j - 1) + 1)
 
     return rec(len(ref), len(hyp))
+
+
+def reference_alignment(ref_words, hyp_words):
+    """edit_alignment as a full dynamic-programming table, as it was before
+    it went bit-parallel: the oracle for its S/D/I/C counts."""
+    n, m = len(ref_words), len(hyp_words)
+    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dp[i][0] = i
+    for j in range(1, m + 1):
+        dp[0][j] = j
+    for i in range(1, n + 1):
+        row, prev = dp[i], dp[i - 1]
+        ref_word = ref_words[i - 1]
+        for j in range(1, m + 1):
+            cost = 0 if ref_word == hyp_words[j - 1] else 1
+            row[j] = min(prev[j - 1] + cost, prev[j] + 1, row[j - 1] + 1)
+    s = d = ins = c = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and ref_words[i - 1] == hyp_words[j - 1] \
+                and dp[i][j] == dp[i - 1][j - 1]:
+            c += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1:
+            s += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+            d += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return EditAlignment(s, d, ins, c)
 
 
 def random_words(rng, max_len=8, vocab=("a", "b", "c", "d", "e")):
@@ -86,6 +121,23 @@ class TestEditAlignment:
             a = edit_alignment(ref, hyp)
             assert a.ref_len == len(ref)
             assert a.hyp_len == len(hyp)
+
+    def test_counts_match_the_full_table_on_random_pairs(self):
+        # small alphabets make ties between alignments common; lengths up to
+        # 80 cross the 64-word boundary of a machine word
+        rng = random.Random(20191)
+        for k in range(20_000):
+            alphabet = "abcd"[: 2 + k % 3]
+            longest = 80 if k % 10 == 0 else 16
+            ref = rng.choices(alphabet, k=rng.randint(0, longest))
+            hyp = rng.choices(alphabet, k=rng.randint(0, longest))
+            assert edit_alignment(ref, hyp) == reference_alignment(ref, hyp), (ref, hyp)
+
+    def test_counts_match_the_full_table_on_question_pairs(self):
+        for ref, hyp, _ in WER_PAIRS:
+            ref_words, hyp_words = wer_tokenize(ref), wer_tokenize(hyp)
+            assert edit_alignment(ref_words, hyp_words) == \
+                reference_alignment(ref_words, hyp_words), (ref, hyp)
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(2)

@@ -1,4 +1,5 @@
 import random
+import re
 import unicodedata
 
 import pytest
@@ -96,6 +97,14 @@ def random_gazetteer_text(rng: random.Random, surfaces: list[str]) -> str:
         piece = "".join(rng.choice((c, c.lower(), c.upper())) for c in piece)
         parts.append(piece + rng.choice(JOINERS))
     return "".join(parts)
+
+
+def test_regex_word_class_is_the_word_char_test():
+    # the tagger finds word starts with (?<!\w); \w must be _is_word_char
+    word = re.compile(r"\w")
+    mismatched = [cp for cp in range(0x110000)
+                  if bool(word.match(chr(cp))) != _is_word_char(chr(cp))]
+    assert mismatched == []
 
 
 class TestGazetteerTagger:
@@ -258,6 +267,15 @@ class TestSplitWords:
                 chr(rng.randrange(0x110000)) if rng.random() < 0.3 else rng.choice(common)
                 for _ in range(rng.randrange(40))
             )
+            assert split_words(text) == reference_split_words(text), repr(text)
+
+    def test_random_ascii_strings_split_as_the_reference_does(self):
+        # all 128 ASCII characters, controls too: str.split() takes \x1c-\x1f
+        # for whitespace, and so must the word regex
+        rng = random.Random(12)
+        ascii_chars = [chr(cp) for cp in range(128)]
+        for _ in range(5000):
+            text = "".join(rng.choices(ascii_chars, k=rng.randrange(40)))
             assert split_words(text) == reference_split_words(text), repr(text)
 
 
