@@ -165,9 +165,19 @@ def _section(cfg: dict, name: str) -> dict:
     return {k[len(prefix):]: v for k, v in cfg.items() if k.startswith(prefix)}
 
 
+def _section_config(cls, cfg: dict, name: str, **fixed):
+    """cls built from one config section plus the fixed fields. A value that
+    cls rejects is reported under its key (train.clip_norm): each config
+    class's messages start with the field's name."""
+    try:
+        return cls(**fixed, **_section(cfg, name))
+    except ValueError as exc:
+        raise ValueError(f"{name}.{exc}") from None
+
+
 def _model_config(cfg: dict, vocab) -> ModelConfig:
     supplied = (len(vocab), vocab.pad_id, vocab.bos_id, vocab.eos_id)
-    return ModelConfig(**dict(zip(_FROM_VOCAB, supplied)), **_section(cfg, "model"))
+    return _section_config(ModelConfig, cfg, "model", **dict(zip(_FROM_VOCAB, supplied)))
 
 
 def _write_jsonl(path: str, rows: list[dict]) -> None:
@@ -214,6 +224,7 @@ def cmd_preprocess(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
+    train_cfg = _section_config(TrainConfig, cfg, "train", seed=cfg["seed"])
     vocab, _, _ = _load_shared(cfg)
     cache_path = cfg["paths.examples_cache"]
     if not os.path.exists(cache_path):
@@ -221,7 +232,6 @@ def cmd_train(cfg: dict) -> int:
     examples = load_examples(cache_path)
     buckets = bucket_by_length(examples, _parse_buckets(cfg["data.buckets"]))
     model = TransformerModel(_model_config(cfg, vocab), seed=cfg["seed"])
-    train_cfg = TrainConfig(seed=cfg["seed"], **_section(cfg, "train"))
     state, ckpt_dir = train(model, buckets, train_cfg, cfg["paths.out_dir"])
     print(f"trained {state.step} steps; checkpoint at {ckpt_dir}")
     return EXIT_OK
@@ -236,11 +246,11 @@ def _checkpoint_dir(cfg: dict) -> str:
 
 
 def cmd_generate(cfg: dict, input_jsonl: str, output_jsonl: str) -> int:
+    gen_cfg = _section_config(GenerationConfig, cfg, "generate")
     vocab, tagger, stoplist = _load_shared(cfg)
     ckpt = _checkpoint_dir(cfg)
     model = TransformerModel.load(os.path.join(ckpt, "model.bin"))
     records = read_jsonl(input_jsonl, {"id": ID, "passage": TEXT, "answer": TEXT})
-    gen_cfg = GenerationConfig(**_section(cfg, "generate"))
     rows = generate_batch(
         model, records, tagger, stoplist, vocab, gen_cfg,
         max_input_ids=cfg["data.max_input_ids"],

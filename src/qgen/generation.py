@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -22,12 +23,15 @@ class GenerationConfig:
     length_alpha: float = 0.6
 
     def __post_init__(self):
+        """Each message starts with the field's name."""
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
-        if self.length_alpha < 0:
-            raise ValueError("length_alpha must be >= 0")
+        if not 0.0 <= self.length_alpha < math.inf:  # NaN fails it too
+            raise ValueError(
+                f"length_alpha must be a finite number >= 0, got {self.length_alpha!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,27 @@ class BeamHypothesis:
 
 
 def _log_softmax(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=-1, keepdims=True)
+    top = rows.max(axis=-1, keepdims=True)
+    # NaN, +inf and a row of only -inf reach the maxima; a -inf entry in a
+    # row with a finite maximum is a token that is never picked.
+    if not np.isfinite(top).all():
+        raise ValueError("decoder logits contain NaN or infinity")
+    shifted = rows - top
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _top_k(logp: np.ndarray, width: int) -> np.ndarray:
+    """Each row's width largest entries' ids, best first, ties to the smaller
+    id: np.argsort(-logp, kind="stable")[:, :width], without sorting whole
+    rows. Each row's maximum is finite."""
+    k = min(width, logp.shape[-1])
+    kth = np.partition(logp, -k, axis=-1)[:, -k, None]  # each row's k-th largest
+    # At least k candidates per row, ties at the k-th value included.
+    rows, ids = np.nonzero(logp >= kth)
+    order = np.lexsort((ids, -logp[rows, ids], rows))
+    counts = np.bincount(rows, minlength=len(logp))
+    starts = np.cumsum(counts) - counts
+    return ids[order][starts[:, None] + np.arange(k)]
 
 
 def _search(
@@ -80,7 +103,7 @@ def _search(
             if position == cfg.max_length:
                 picks = np.full((len(live), 1), eos)
             else:
-                picks = np.argsort(-logp, axis=-1, kind="stable")[:, :width]
+                picks = _top_k(logp, width)
             candidates: list[list] = [[] for _ in widths]
             for row, (search, tokens, total) in enumerate(live):
                 for t in picks[row, : widths[search]]:

@@ -56,14 +56,15 @@ class ModelConfig:
     share_embeddings: bool = True
 
     def __post_init__(self):
-        if self.d_model % self.num_heads != 0:
-            raise ValueError(
-                f"d_model={self.d_model} not divisible by num_heads={self.num_heads}"
-            )
+        """Each message starts with the field's name."""
         for name in ("vocab_size", "d_model", "num_heads", "enc_layers",
                      "dec_layers", "d_ff", "max_positions"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.d_model % self.num_heads != 0:
+            raise ValueError(
+                f"d_model={self.d_model} not divisible by num_heads={self.num_heads}"
+            )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -303,8 +304,12 @@ class DecodeCache:
 
     def cross(self, layer: int, params: MultiHeadParams, enc_out) -> tuple[Tensor, Tensor]:
         """One layer's cross-attention keys and values, projected from
-        enc_out on first use."""
+        enc_out on first use; enc_out holds one source, (1, m, d_model)."""
         if layer not in self.cross_kv:
+            if enc_out.shape[0] != 1:
+                raise ShapeError(
+                    f"DecodeCache holds one source, got encoder output {enc_out.shape}"
+                )
             self.cross_kv[layer] = params.keys_values(enc_out)
         return self.cross_kv[layer]
 
@@ -431,7 +436,8 @@ class TransformerModel:
         if cache is not None:
             cache.pad_mask = pad_mask = _grow(cache.pad_mask, pad_mask, -1)
             cache.length += t
-        self_mask = self._causal_mask(t, start) + pad_mask
+        # A single new position sees every earlier one: its causal mask is 0.
+        self_mask = pad_mask if t == 1 else self._causal_mask(t, start) + pad_mask
         cross_mask = self._pad_mask(src_ids)
         x = self._embed_sequence(dec_ids, rng, start)
         for i, layer in enumerate(self.dec_layers):
@@ -508,8 +514,10 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])
             n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
+            # A buffer of its own per tensor, so the array is writable
+            # without a copy.
+            raw = bytearray(8 * n)
+            if fh.readinto(raw) != len(raw):
                 raise ValueError(f"{path}: truncated tensor {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape)
     return header["meta"], arrays

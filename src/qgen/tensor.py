@@ -51,7 +51,7 @@ class Tensor:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(self.data.shape)
+        return self.data.shape
 
     @property
     def size(self) -> int:
@@ -74,10 +74,10 @@ class Parameter(Tensor):
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -190,20 +190,26 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
+    """Matrix product over the last two axes; leading axes broadcast.
+
+    A 2-d right operand (a weight) meets all leading rows of a in one GEMM
+    instead of one product per leading index; so does its gradient.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.shape} x {b.shape}")
-    out = _result(a.data @ b.data, (a, b))
+    if b.data.ndim == 2:
+        k, n = b.shape
+        data = (a.data.reshape(-1, k) @ b.data).reshape(*a.shape[:-1], n)
+    else:
+        data = a.data @ b.data
+    out = _result(data, (a, b))
     if out.requires_grad:
         def _bw(g):
             ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
             if b.data.ndim == 2:
-                # One GEMM over all leading axes instead of a batched product
-                # summed afterwards.
-                k, n = b.shape
                 gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
             else:
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
@@ -272,9 +278,12 @@ def softmax_rows(a) -> Tensor:
 
 def _softmax(x: np.ndarray, what: str) -> np.ndarray:
     """Softmax over the last axis of a finite array, into a new array."""
-    if not np.isfinite(x).all():
+    top = x.max(axis=-1, keepdims=True)
+    # NaN reaches both reductions; +inf shows in the row maxima, -inf in the
+    # minimum.
+    if x.size and not (np.isfinite(top.max()) and np.isfinite(x.min())):
         raise ValueError(f"{what} contains NaN or infinity")
-    y = x - x.max(axis=-1, keepdims=True)
+    y = x - top
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     return y
@@ -332,9 +341,10 @@ def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is what mean computes, without its per-call overhead.
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = _result(xhat * gain.data + bias.data, (x, gain, bias))
@@ -346,8 +356,8 @@ def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
             dxhat = g * gain.data
             dx = inv * (
                 dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+                - dxhat.sum(axis=-1, keepdims=True) / d
+                - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
             )
             return dx, dgain, dbias
         out._backward = _bw

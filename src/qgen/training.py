@@ -4,6 +4,7 @@ global-norm gradient clipping, JSON-lines metrics, resumable checkpoints."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -41,12 +42,23 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        """Each message starts with the field's name."""
         if self.total_steps < 0:
             raise ValueError("total_steps must be >= 0")
-        for name in ("base_lr", "warmup_steps", "batch_size", "checkpoint_interval",
-                     "clip_norm"):
+        for name in ("warmup_steps", "batch_size", "checkpoint_interval"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # NaN fails every comparison, so it fails each range.
+        ranges = {
+            "base_lr": (0.0 < self.base_lr < math.inf, "a finite number > 0"),
+            "clip_norm": (0.0 < self.clip_norm < math.inf, "a finite number > 0"),
+            "label_smoothing": (0.0 <= self.label_smoothing < 1.0, "in [0, 1)"),
+            "weight_decay": (0.0 <= self.weight_decay < math.inf,
+                             "a finite number >= 0"),
+        }
+        for name, (ok, rule) in ranges.items():
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.total_steps > 0 and self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
 

@@ -436,6 +436,43 @@ class TestInputErrors:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+class TestConfigValues:
+    """A config value outside its range, NaN included, exits 2 naming the key
+    as it was spelled, before anything is trained or written."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("train.clip_norm", "nan"),
+        ("train.weight_decay", "nan"),
+        ("train.label_smoothing", "2"),
+        ("train.base_lr", "inf"),
+        ("model.num_heads", "0"),
+    ])
+    def test_bad_train_value_names_the_key(self, tmp_path, capsys, key, value):
+        _, cache, _ = run_preprocess(tmp_path)
+        capsys.readouterr()
+        run = tmp_path / "run"
+        argv = ["train", "--paths.examples_cache", str(cache), "--paths.out_dir", str(run),
+                "--train.total_steps", "1", "--train.warmup_steps", "1",
+                "--train.batch_size", "2", *SMALL_FLAGS, f"--{key}", value]
+        assert main(argv) == EXIT_INPUT
+        assert f"error: {key} must be " in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_nan_length_alpha_names_the_key(self, tmp_path, capsys, vocab):
+        save_small_checkpoint(tmp_path / "out", vocab)
+        gen_in = write_jsonl(tmp_path / "gen_in.jsonl", [
+            {"id": "g1", "passage": "The gold was found in Warsaw.", "answer": "gold"},
+        ])
+        gen_out = tmp_path / "gen_out.jsonl"
+        argv = ["generate", "--paths.out_dir", str(tmp_path / "out"),
+                "--generate.max_length", "8", "--generate.length_alpha", "nan",
+                str(gen_in), str(gen_out)]
+        assert main(argv) == EXIT_INPUT
+        assert "error: generate.length_alpha must be a finite number >= 0, got nan" \
+            in capsys.readouterr().err
+        assert not gen_out.exists()
+
+
 class TestConfigSections:
     @pytest.mark.parametrize("section,cls", [
         ("model", ModelConfig), ("train", TrainConfig), ("generate", GenerationConfig),

@@ -8,6 +8,7 @@ import pytest
 from qgen.generation import (
     BeamHypothesis,
     GenerationConfig,
+    _top_k,
     beam_search,
     generate_batch,
     greedy_decode,
@@ -113,6 +114,20 @@ class TestGenerationConfig:
             GenerationConfig(length_alpha=-0.1)
 
 
+class TestTopK:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 9, 40])
+    def test_matches_a_stable_argsort(self, width):
+        """Rows drawn from 2-4 distinct values, so ties are common; a width of
+        9 or 40 reaches or passes the row length."""
+        rng = np.random.default_rng(width)
+        for _ in range(300):
+            values = rng.normal(size=rng.integers(2, 5))
+            logp = values[rng.integers(0, len(values), size=(rng.integers(1, 7),
+                                                              rng.integers(1, 10)))]
+            want = np.argsort(-logp, axis=-1, kind="stable")[:, :width]
+            np.testing.assert_array_equal(_top_k(logp, width), want)
+
+
 class TestBeamSearch:
     def test_beam_one_equals_greedy(self):
         cfg = GenerationConfig(beam_width=1, max_length=8, length_alpha=0.6)
@@ -142,6 +157,31 @@ class TestBeamSearch:
         hyps = beam_search(model, np.array([1]), cfg)
         assert [h.tokens for h in hyps] == [(3,)]
         assert hyps[0].log_prob == pytest.approx(math.log(0.25), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "row of -inf"])
+    def test_non_finite_logits_are_an_error(self, bad):
+        table = np.zeros((4, 6))
+        if bad == "row of -inf":
+            table[1] = -math.inf
+        else:
+            table[1, 4] = bad
+        with pytest.raises(ValueError, match="decoder logits contain NaN or infinity"):
+            beam_search(TableModel(table), np.array([1]),
+                        GenerationConfig(beam_width=2, max_length=4))
+
+    def test_minus_inf_logit_is_a_token_never_picked(self):
+        """Width 4 over 4 tokens takes the -inf one among each row's picks;
+        the best hypothesis still matches exhaustive enumeration."""
+        rng = np.random.default_rng(5)
+        cfg = GenerationConfig(beam_width=4, max_length=3, length_alpha=0.6)
+        for _ in range(10):
+            table = rng.normal(size=(3, 4))
+            table[:, 1] = -math.inf
+            best = beam_search(TableModel(table), np.array([1]), cfg)[0]
+            want = enumerate_best(table, cfg, eos=3)
+            assert 1 not in best.tokens
+            assert best.tokens == want.tokens
+            assert best.log_prob == pytest.approx(want.log_prob, abs=1e-12)
 
     def test_finished_hypotheses_end_with_eos(self):
         model = small_model(seed=3)

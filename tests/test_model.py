@@ -263,6 +263,15 @@ class TestCachedDecode:
                                                atol=1e-12)
             assert cache.length == prefixes.shape[1]
 
+    def test_cache_takes_only_one_source(self):
+        model = TransformerModel(small_config(), seed=12)
+        src = np.array([[4, 5, 6], [7, 8, model.config.pad_id]])
+        with no_grad():
+            enc_out, _ = model.encode(src)
+            params = model.dec_layers[0].cross_attn
+            with pytest.raises(ShapeError, match="one source"):
+                DecodeCache().cross(0, params, enc_out)
+
 
 class TestModelGradients:
     def test_selected_parameter_blocks_pass_finite_differences(self):
@@ -386,6 +395,29 @@ class TestCheckpoint:
         assert meta == {"kind": "test"}
         np.testing.assert_array_equal(arrays["a"], tensors[0][1])
         np.testing.assert_array_equal(arrays["b"], tensors[1][1])
+
+    def test_truncated_container_names_the_tensor(self, tmp_path):
+        path = tmp_path / "m.bin"
+        model = TransformerModel(small_config(), seed=9)
+        model.save(path)
+        path.write_bytes(path.read_bytes()[:-8])  # the last tensor loses one value
+        last = model.parameters()[-1].name
+        with pytest.raises(ValueError, match=f"truncated tensor '{last}'"):
+            read_container(path)
+
+    def test_loaded_parameters_are_writable_arrays_of_their_own(self, tmp_path):
+        path = tmp_path / "m.bin"
+        TransformerModel(small_config(share_embeddings=False), seed=10).save(path)
+        params = TransformerModel.load(path).parameters()
+        for p in params:
+            assert p.data.flags.writeable, p.name
+        # check_gradients perturbs a parameter in place: no other may move.
+        for a, b in zip(params, params[1:]):
+            assert not np.shares_memory(a.data, b.data), (a.name, b.name)
+        before = [p.data.copy() for p in params]
+        params[0].data[...] += 1.0
+        for p, was in zip(params[1:], before[1:]):
+            np.testing.assert_array_equal(p.data, was)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -419,6 +419,19 @@ class TestFusedAttention:
         with pytest.raises(ValueError, match="NaN or infinity"):
             attention(q, k, v)
 
+    @pytest.mark.parametrize("op", [attention, composed_attention],
+                             ids=["attention", "softmax_rows"])
+    @pytest.mark.parametrize("damage", ["nan_in_q", "neg_inf_in_mask"])
+    def test_rejects_other_non_finite_scores(self, op, damage):
+        _, q, k, v, _ = self._operands(13, 3, 5)
+        mask = np.zeros((2, 1, 1, 5))
+        if damage == "nan_in_q":
+            q.data[1, 2, 0, 3] = np.nan
+        else:
+            mask[1, 0, 0, 4] = -np.inf
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            op(q, k, v, Tensor(mask))
+
     def test_mask_must_broadcast(self):
         _, q, k, v, _ = self._operands(14, 3, 5)
         with pytest.raises(ShapeError, match="mask"):
