@@ -58,7 +58,7 @@ def main():
                                replace=len(bucket) < tcfg.batch_size)
         batch = (bucket.input_matrix(idx, cfg.pad_id),
                  bucket.target_matrix(idx, cfg.pad_id), "demo")
-        value = train_step(model, batch, state, tcfg)
+        value, _ = train_step(model, batch, state, tcfg)
         if state.step % 40 == 0:
             print(f"  step {state.step:4d}  loss {value:.4f}")
     print(f"trained {STEPS} steps in {time.perf_counter() - started:.0f}s; "

@@ -193,7 +193,8 @@ def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast.
 
     A 2-d right operand (a weight) meets all leading rows of a in one GEMM
-    instead of one product per leading index; so does its gradient.
+    instead of one product per leading index; so do the gradients of a and
+    of the weight.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -208,10 +209,11 @@ def matmul(a, b) -> Tensor:
     out = _result(data, (a, b))
     if out.requires_grad:
         def _bw(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
             if b.data.ndim == 2:
+                ga = (g.reshape(-1, n) @ b.data.T).reshape(a.shape)
                 gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
             else:
+                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
             return ga, gb
         out._backward = _bw

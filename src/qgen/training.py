@@ -127,19 +127,30 @@ def adam_step(model: TransformerModel, state: TrainState, lr: float,
 
 
 def train_step(model: TransformerModel, batch, state: TrainState,
-               config: TrainConfig) -> float:
-    """One optimization step on a uniformly padded batch.
+               config: TrainConfig) -> tuple[float, float]:
+    """One optimization step; returns the loss and the gradients' global L2
+    norm before clipping.
 
-    batch is (input_ids, target_ids, bucket_label); targets include the
-    leading [BOS] and trailing [EOS], so the decoder sees targets[:, :-1] and
-    is scored against targets[:, 1:].
+    batch is (input_ids, target_ids, bucket_label), each matrix padded to
+    its bucket's width; targets include the leading [BOS] and trailing
+    [EOS], so the decoder sees targets[:, :-1] and is scored against
+    targets[:, 1:]. The step computes only up to each matrix's longest row
+    (_trim), but dropout draws its numbers at the bucket's width
+    (_BucketDraws): every kept position gets the mask the bucket-padded
+    batch would have drawn, and state.rng, which also samples the batches,
+    advances the same whatever the rows' lengths.
     """
     inputs, targets, bucket_label = batch
     lr = learning_rate(state.step + 1, config)
     pad_id = model.config.pad_id
-    drop_rng = state.rng if model.config.dropout > 0 else None
+    enc_rng = dec_rng = None
+    if model.config.dropout > 0:
+        enc_rng = _BucketDraws(state.rng, inputs.shape[1])
+        dec_rng = _BucketDraws(state.rng, targets.shape[1] - 1)
+    inputs, targets = _trim(inputs, pad_id), _trim(targets, pad_id)
     try:
-        logits = model.forward(inputs, targets[:, :-1], rng=drop_rng)
+        enc_out, src_ids = model.encode(inputs, enc_rng)
+        logits = model.decode(enc_out, src_ids, targets[:, :-1], dec_rng)
         step_loss = cross_entropy_with_logits(
             logits, targets[:, 1:], pad_id, config.label_smoothing
         )
@@ -152,10 +163,33 @@ def train_step(model: TransformerModel, batch, state: TrainState,
         raise NumericalError(state.step, bucket_label, lr)
     model.zero_grads()
     backward(step_loss)
-    clip_gradients(model, config.clip_norm)
+    grad_norm = clip_gradients(model, config.clip_norm)
     adam_step(model, state, lr, config.weight_decay)
     state.step += 1
-    return value
+    return value, grad_norm
+
+
+def _trim(matrix: np.ndarray, pad_id: int) -> np.ndarray:
+    """matrix less its trailing columns that hold only pad_id (one column
+    is kept if all do). Attention hides [PAD] keys and the loss skips [PAD]
+    targets, so the cut changes no result of a row that holds a non-pad id."""
+    filled = np.flatnonzero((matrix != pad_id).any(axis=0))
+    return matrix[:, : filled[-1] + 1 if filled.size else 1]
+
+
+class _BucketDraws:
+    """state.rng as dropout sees it on a batch cut narrower than its bucket.
+
+    random(shape) draws (rows, width, ...) numbers, width being the bucket's
+    sequence length, and returns the first shape[1] positions of each row.
+    """
+
+    def __init__(self, rng: np.random.Generator, width: int):
+        self.rng = rng
+        self.width = width
+
+    def random(self, shape) -> np.ndarray:
+        return self.rng.random((shape[0], self.width, *shape[2:]))[:, : shape[1]]
 
 
 def save_checkpoint(directory, model: TransformerModel, state: TrainState,
@@ -188,8 +222,10 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     """Run the training loop; returns the final state and checkpoint directory.
 
     Batches are drawn from non-empty buckets with probability proportional to
-    bucket size. Metrics go to out_dir/metrics.jsonl, one record per step
-    (tokens_per_sec counts the non-pad input and target tokens); checkpoints
+    bucket size. Metrics go to out_dir/metrics.jsonl, one record per step:
+    step, bucket (its label), loss, lr, grad_norm (before clipping),
+    real_tokens (the non-pad input and target tokens) and tokens_per_sec,
+    the one field that is not the same on every run; checkpoints
     land in out_dir/checkpoint every checkpoint_interval steps and at the
     end, once. A resumed run (state.step > 0) first drops the log's records of
     later steps, which it is about to repeat.
@@ -223,13 +259,16 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
                 f"{bucket.max_input}x{bucket.max_target}",
             )
             started = time.perf_counter()
-            value = train_step(model, batch, state, config)
+            value, grad_norm = train_step(model, batch, state, config)
             elapsed = max(time.perf_counter() - started, 1e-9)
             tokens = int((batch[0] != pad_id).sum() + (batch[1] != pad_id).sum())
             record = {
                 "step": state.step,
+                "bucket": batch[2],
                 "loss": value,
                 "lr": learning_rate(state.step, config),
+                "grad_norm": grad_norm,
+                "real_tokens": tokens,
                 "tokens_per_sec": tokens / elapsed,
             }
             metrics.write(json.dumps(record) + "\n")
@@ -291,8 +330,8 @@ def teacher_forced_accuracy(model: TransformerModel, buckets: list[Bucket]) -> f
             if not bucket.examples:
                 continue
             indices = range(len(bucket))
-            inputs = bucket.input_matrix(indices, pad_id)
-            targets = bucket.target_matrix(indices, pad_id)
+            inputs = _trim(bucket.input_matrix(indices, pad_id), pad_id)
+            targets = _trim(bucket.target_matrix(indices, pad_id), pad_id)
             logits = model.forward(inputs, targets[:, :-1])
             pred = logits.data.argmax(axis=-1)
             gold = targets[:, 1:]

@@ -126,7 +126,8 @@ class TestPipeline:
         metrics = (out / "metrics.jsonl").read_text().splitlines()
         assert len(metrics) == 3
         record = json.loads(metrics[0])
-        assert set(record) == {"step", "loss", "lr", "tokens_per_sec"}
+        assert set(record) == {"step", "bucket", "loss", "lr", "grad_norm",
+                               "real_tokens", "tokens_per_sec"}
 
         gen_in = tmp_path / "gen_in.jsonl"
         gen_in.write_text(

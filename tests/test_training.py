@@ -9,7 +9,7 @@ import pytest
 from qgen.model import ModelConfig, TransformerModel, write_container
 from qgen.squad import Bucket, InvertedExample
 from qgen import training
-from qgen.tensor import Tensor, cross_entropy_with_logits
+from qgen.tensor import Tensor, backward, cross_entropy_with_logits
 from qgen.training import (
     NumericalError,
     TrainConfig,
@@ -48,6 +48,37 @@ def tiny_bucket(n=4, in_len=6, tgt_len=5, seed=0):
 def batch_from(bucket, pad_id=0):
     idx = range(len(bucket))
     return (bucket.input_matrix(idx, pad_id), bucket.target_matrix(idx, pad_id), "b")
+
+
+def ragged_bucket(n=6, max_input=10, max_target=8, seed=0):
+    """Rows of assorted lengths, every one shorter than the bucket bounds."""
+    rng = np.random.default_rng(seed)
+    examples = [
+        InvertedExample(
+            f"r{i}",
+            rng.integers(4, 12, size=rng.integers(2, max_input - 1)).tolist(),
+            [2] + rng.integers(4, 12, size=rng.integers(1, max_target - 3)).tolist()
+            + [3],
+        )
+        for i in range(n)
+    ]
+    return Bucket(max_input, max_target, examples)
+
+
+def reference_step(model, batch, state, config):
+    """A step on the whole bucket-padded batch: model.forward, with dropout
+    drawn from state.rng at the batch's full shape."""
+    inputs, targets, _ = batch
+    lr = learning_rate(state.step + 1, config)
+    logits = model.forward(inputs, targets[:, :-1], rng=state.rng)
+    loss = cross_entropy_with_logits(logits, targets[:, 1:], model.config.pad_id,
+                                     config.label_smoothing)
+    model.zero_grads()
+    backward(loss)
+    clip_gradients(model, config.clip_norm)
+    adam_step(model, state, lr, config.weight_decay)
+    state.step += 1
+    return loss.item()
 
 
 class TestLoss:
@@ -178,7 +209,7 @@ class TestTrainStep:
         batch = batch_from(bucket)
         cfg = TrainConfig(total_steps=120, base_lr=3e-3, warmup_steps=10, batch_size=4)
         state = TrainState(model, seed=0)
-        losses = [train_step(model, batch, state, cfg) for _ in range(120)]
+        losses = [train_step(model, batch, state, cfg)[0] for _ in range(120)]
         for i in range(len(losses) - 50):
             assert losses[i + 50] < losses[i]
 
@@ -189,6 +220,29 @@ class TestTrainStep:
         state = TrainState(model, seed=0)
         with pytest.raises(NumericalError, match=r"step 0 \(bucket b, lr"):
             train_step(model, batch_from(tiny_bucket()), state, cfg)
+
+    def test_trimmed_step_matches_the_bucket_padded_step(self):
+        cfg = TrainConfig(total_steps=10, base_lr=1e-2, warmup_steps=2,
+                          label_smoothing=0.1)
+        trimmed, padded = tiny_model(seed=3, dropout=0.1), tiny_model(seed=3, dropout=0.1)
+        trimmed_state, padded_state = TrainState(trimmed, 5), TrainState(padded, 5)
+        for seed in range(3):
+            batch = batch_from(ragged_bucket(seed=seed))
+            assert training._trim(batch[0], 0).shape[1] < batch[0].shape[1]
+            assert training._trim(batch[1], 0).shape[1] < batch[1].shape[1]
+            loss, _ = train_step(trimmed, batch, trimmed_state, cfg)
+            assert abs(loss - reference_step(padded, batch, padded_state, cfg)) < 1e-12
+            for p, q in zip(trimmed.parameters(), padded.parameters(), strict=True):
+                assert np.abs(p.data - q.data).max() < 1e-12, p.name
+            assert (trimmed_state.rng.bit_generator.state
+                    == padded_state.rng.bit_generator.state)
+
+    def test_returns_the_norm_before_clipping(self):
+        model = tiny_model(seed=3)
+        cfg = TrainConfig(total_steps=10, warmup_steps=5, clip_norm=1e-6)
+        _, norm = train_step(model, batch_from(tiny_bucket()), TrainState(model, 0), cfg)
+        clipped = math.sqrt(sum(float((p.grad ** 2).sum()) for p in model.parameters()))
+        assert norm > 1e-3 and clipped == pytest.approx(1e-6, rel=1e-9)
 
     def test_step_counter_advances(self):
         model = tiny_model(seed=3)
@@ -321,11 +375,55 @@ class TestTrainLoop:
         rates = [json.loads(line)["tokens_per_sec"] for line in lines]
         assert rates == [3 * (6 + 5) / 0.25] * 3
 
+    def test_records_hold_the_step_facts(self, tmp_path):
+        # Every row has 6 input and 5 target tokens, padded to 8 and 7.
+        bucket = Bucket(8, 7, tiny_bucket(6, in_len=6, tgt_len=5).examples)
+        model = tiny_model(seed=9)
+        cfg = TrainConfig(total_steps=3, warmup_steps=2, batch_size=3, clip_norm=1e9)
+        train(model, [bucket], cfg, tmp_path / "run")
+        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["bucket"] for r in records] == ["8x7"] * 3
+        assert [r["real_tokens"] for r in records] == [3 * (6 + 5)] * 3
+        # clip_norm is far above the norm, so the last step's gradients are
+        # left as backward made them.
+        norm = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in model.parameters()))
+        assert records[-1]["grad_norm"] == pytest.approx(norm, rel=1e-12)
+
+    def test_row_lengths_do_not_change_the_batch_sequence(self, tmp_path):
+        """Two caches whose buckets hold as many rows, but rows of other
+        lengths, draw the same buckets step after step with dropout on."""
+        runs = []
+        for seed in (1, 2):
+            buckets = [ragged_bucket(5, 6, 5, seed=seed),
+                       ragged_bucket(7, 10, 8, seed=seed + 10)]
+            cfg = TrainConfig(total_steps=6, warmup_steps=2, batch_size=3, seed=3)
+            state, _ = train(tiny_model(seed=4, dropout=0.1), buckets, cfg,
+                             tmp_path / f"run{seed}")
+            lines = (tmp_path / f"run{seed}" / "metrics.jsonl").read_text().splitlines()
+            runs.append(([json.loads(line)["bucket"] for line in lines],
+                         state.rng.bit_generator.state))
+        assert len(set(runs[0][0])) == 2
+        assert runs[0] == runs[1]
+
     def test_empty_buckets_rejected(self, tmp_path):
         model = tiny_model()
         cfg = TrainConfig(total_steps=5, warmup_steps=2)
         with pytest.raises(ValueError, match="empty"):
             train(model, [Bucket(8, 4, [])], cfg, tmp_path / "x")
+
+
+class TestTrim:
+    def test_no_pad_column_keeps_the_matrix(self):
+        m = np.array([[5, 6, 7], [8, 9, 4]])
+        np.testing.assert_array_equal(training._trim(m, 0), m)
+
+    def test_cut_at_the_longest_row(self):
+        m = np.array([[5, 6, 0, 0, 0], [7, 0, 0, 0, 0], [8, 9, 4, 0, 0]])
+        np.testing.assert_array_equal(training._trim(m, 0), m[:, :3])
+
+    def test_all_pad_keeps_one_column(self):
+        assert training._trim(np.zeros((2, 4), dtype=np.int64), 0).shape == (2, 1)
 
 
 class TestCheckpoint:
