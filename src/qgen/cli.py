@@ -225,7 +225,7 @@ def cmd_preprocess(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     train_cfg = _section_config(TrainConfig, cfg, "train", seed=cfg["seed"])
-    vocab, _, _ = _load_shared(cfg)
+    vocab = load_vocabulary(_resource_or_path(cfg, "paths.vocab", "vocab.txt"))
     cache_path = cfg["paths.examples_cache"]
     if not os.path.exists(cache_path):
         raise FileNotFoundError(f"paths.examples_cache: no such file: {cache_path}")

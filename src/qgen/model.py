@@ -59,8 +59,11 @@ class ModelConfig:
         """Each message starts with the field's name."""
         for name in ("vocab_size", "d_model", "num_heads", "enc_layers",
                      "dec_layers", "d_ff", "max_positions"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if self.d_model % 2 != 0:
+            raise ValueError(f"d_model must be even, got {self.d_model}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by num_heads={self.num_heads}"
@@ -89,27 +92,21 @@ def positional_encoding(max_len: int, d_model: int) -> Tensor:
 
 
 class MultiHeadParams:
-    """Per-head query/key/value projections plus the shared output projection.
+    """Per-head query/key/value projections plus the shared output projection,
+    made by a ParameterMaker."""
 
-    init is a numpy Generator that draws fresh values, or the stored
-    arrays of a checkpoint (see _param).
-    """
-
-    def __init__(self, d_model: int, num_heads: int, init, prefix: str):
+    def __init__(self, d_model: int, num_heads: int, make: ParameterMaker, prefix: str):
         shape = (d_model, d_model // num_heads)
         self.num_heads = num_heads
         self.d_model = d_model
-        self.wq = [_param(init, f"{prefix}.wq{i}", shape, _xavier) for i in range(num_heads)]
-        self.wk = [_param(init, f"{prefix}.wk{i}", shape, _xavier) for i in range(num_heads)]
-        self.wv = [_param(init, f"{prefix}.wv{i}", shape, _xavier) for i in range(num_heads)]
-        self.wo = _param(init, f"{prefix}.wo", (d_model, d_model), _xavier)
+        self.wq = [make(f"{prefix}.wq{i}", shape, _xavier) for i in range(num_heads)]
+        self.wk = [make(f"{prefix}.wk{i}", shape, _xavier) for i in range(num_heads)]
+        self.wv = [make(f"{prefix}.wv{i}", shape, _xavier) for i in range(num_heads)]
+        self.wo = make(f"{prefix}.wo", (d_model, d_model), _xavier)
 
     def keys_values(self, x) -> tuple[Tensor, Tensor]:
         """x projected to per-head keys and values, each (..., h, m, d_head)."""
         return _heads(x, self.wk, self.num_heads), _heads(x, self.wv, self.num_heads)
-
-    def parameters(self) -> list[Parameter]:
-        return [*self.wq, *self.wk, *self.wv, self.wo]
 
 
 def _heads(x, weights, num_heads: int) -> Tensor:
@@ -153,88 +150,85 @@ def _zeros(rng, shape) -> np.ndarray:
     return np.zeros(shape)
 
 
-class _Stored:
-    """Parameter values read from a checkpoint, handed out by name."""
+class ParameterMaker:
+    """Makes a model's parameters, each once, and lists them in the order
+    made: the order of a checkpoint, of the Adam moments and of gradient
+    clipping.
 
-    def __init__(self, path, arrays: dict[str, np.ndarray]):
+    Values are drawn by fill(rng, shape) from the generator rng, or, when
+    stored is given, taken by name from a checkpoint's arrays (read from
+    path), drawing nothing.
+    """
+
+    def __init__(self, rng: np.random.Generator | None = None, *,
+                 stored: dict[str, np.ndarray] | None = None, path=None):
+        self.rng = rng
+        self.stored = stored
         self.path = path
-        self.arrays = arrays
+        self.made: list[Parameter] = []
+        self._names: set[str] = set()
 
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        stored = self.arrays.get(name)
-        if stored is None:
+    def __call__(self, name: str, shape: tuple[int, ...], fill) -> Parameter:
+        if name in self._names:
+            raise RuntimeError(f"parameter {name} made more than once")
+        self._names.add(name)
+        if self.stored is None:
+            values = fill(self.rng, shape)
+        elif name not in self.stored:
             raise ValueError(f"checkpoint {self.path} parameter names do not match config")
-        if stored.shape != shape:
-            raise ValueError(
-                f"checkpoint {self.path}: {name} has shape {stored.shape}, "
-                f"expected {shape}"
-            )
-        return stored
-
-
-def _param(init, name: str, shape: tuple[int, ...], fill) -> Parameter:
-    """A new parameter: the array stored under name when init is _Stored,
-    else fill(init, shape), drawn from the generator init."""
-    if isinstance(init, _Stored):
-        return Parameter(init.take(name, shape), name)
-    return Parameter(fill(init, shape), name)
+        elif self.stored[name].shape != shape:
+            raise ValueError(f"checkpoint {self.path}: {name} has shape "
+                             f"{self.stored[name].shape}, expected {shape}")
+        else:
+            values = self.stored[name]
+        param = Parameter(values, name)
+        self.made.append(param)
+        return param
 
 
 class _LayerNormParams:
-    def __init__(self, d: int, init, prefix: str):
-        self.gain = _param(init, f"{prefix}.gain", (d,), _ones)
-        self.bias = _param(init, f"{prefix}.bias", (d,), _zeros)
+    def __init__(self, d: int, make: ParameterMaker, prefix: str):
+        self.gain = make(f"{prefix}.gain", (d,), _ones)
+        self.bias = make(f"{prefix}.bias", (d,), _zeros)
 
     def __call__(self, x) -> Tensor:
         return layer_norm(x, self.gain, self.bias)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.gain, self.bias]
-
 
 class _FeedForward:
-    def __init__(self, d_model: int, d_ff: int, init, prefix: str):
-        self.w1 = _param(init, f"{prefix}.w1", (d_model, d_ff), _xavier)
-        self.b1 = _param(init, f"{prefix}.b1", (d_ff,), _zeros)
-        self.w2 = _param(init, f"{prefix}.w2", (d_ff, d_model), _xavier)
-        self.b2 = _param(init, f"{prefix}.b2", (d_model,), _zeros)
+    def __init__(self, d_model: int, d_ff: int, make: ParameterMaker, prefix: str):
+        self.w1 = make(f"{prefix}.w1", (d_model, d_ff), _xavier)
+        self.b1 = make(f"{prefix}.b1", (d_ff,), _zeros)
+        self.w2 = make(f"{prefix}.w2", (d_ff, d_model), _xavier)
+        self.b2 = make(f"{prefix}.b2", (d_model,), _zeros)
 
     def __call__(self, x) -> Tensor:
         return add(matmul(relu(add(matmul(x, self.w1), self.b1)), self.w2), self.b2)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
 
 class _EncoderLayer:
-    def __init__(self, cfg: ModelConfig, init, prefix: str):
-        self.ln1 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln1")
-        self.attn = MultiHeadParams(cfg.d_model, cfg.num_heads, init, f"{prefix}.attn")
-        self.ln2 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln2")
-        self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, init, f"{prefix}.ffn")
+    def __init__(self, cfg: ModelConfig, make: ParameterMaker, prefix: str):
+        self.ln1 = _LayerNormParams(cfg.d_model, make, f"{prefix}.ln1")
+        self.attn = MultiHeadParams(cfg.d_model, cfg.num_heads, make, f"{prefix}.attn")
+        self.ln2 = _LayerNormParams(cfg.d_model, make, f"{prefix}.ln2")
+        self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, make, f"{prefix}.ffn")
         self.rate = cfg.dropout
 
     def __call__(self, x, mask, rng) -> Tensor:
         x = add(x, dropout(multi_head(self.ln1(x), self.attn, mask), self.rate, rng))
         return add(x, dropout(self.ffn(self.ln2(x)), self.rate, rng))
 
-    def parameters(self) -> list[Parameter]:
-        return [
-            *self.ln1.parameters(), *self.attn.parameters(),
-            *self.ln2.parameters(), *self.ffn.parameters(),
-        ]
-
 
 class _DecoderLayer:
-    def __init__(self, cfg: ModelConfig, init, prefix: str):
-        self.ln1 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln1")
-        self.self_attn = MultiHeadParams(cfg.d_model, cfg.num_heads, init,
+    def __init__(self, cfg: ModelConfig, make: ParameterMaker, prefix: str):
+        self.ln1 = _LayerNormParams(cfg.d_model, make, f"{prefix}.ln1")
+        self.self_attn = MultiHeadParams(cfg.d_model, cfg.num_heads, make,
                                          f"{prefix}.self_attn")
-        self.ln2 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln2")
-        self.cross_attn = MultiHeadParams(cfg.d_model, cfg.num_heads, init,
+        self.ln2 = _LayerNormParams(cfg.d_model, make, f"{prefix}.ln2")
+        self.cross_attn = MultiHeadParams(cfg.d_model, cfg.num_heads, make,
                                           f"{prefix}.cross_attn")
-        self.ln3 = _LayerNormParams(cfg.d_model, init, f"{prefix}.ln3")
-        self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, init, f"{prefix}.ffn")
+        self.ln3 = _LayerNormParams(cfg.d_model, make, f"{prefix}.ln3")
+        self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, make, f"{prefix}.ffn")
         self.rate = cfg.dropout
 
     def __call__(self, x, enc_out, self_mask, cross_mask, rng, cache, index) -> Tensor:
@@ -257,13 +251,6 @@ class _DecoderLayer:
             ),
         )
         return add(x, dropout(self.ffn(self.ln3(x)), self.rate, rng))
-
-    def parameters(self) -> list[Parameter]:
-        return [
-            *self.ln1.parameters(), *self.self_attn.parameters(),
-            *self.ln2.parameters(), *self.cross_attn.parameters(),
-            *self.ln3.parameters(), *self.ffn.parameters(),
-        ]
 
 
 def _grow(old: np.ndarray | None, new: np.ndarray, axis: int) -> np.ndarray:
@@ -318,47 +305,33 @@ class TransformerModel:
     """Token embedding + sinusoidal positions + encoder/decoder stacks."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self._build(config, np.random.default_rng(seed))
+        self._build(config, ParameterMaker(np.random.default_rng(seed)))
 
-    def _build(self, config: ModelConfig, init) -> None:
-        """Create every parameter from init: a generator drawing fresh
-        values, or the _Stored arrays of a checkpoint (see _param)."""
+    def _build(self, config: ModelConfig, make: ParameterMaker) -> None:
+        """Make every parameter, in checkpoint order. Layer norms and biases
+        draw nothing, so only the embedding, the weight matrices and
+        out_proj take values from a generator, in the order made."""
         self.config = config
         d = config.d_model
 
         def normal(rng, shape):
             return rng.normal(0.0, 1.0 / np.sqrt(d), size=shape)
 
-        self.embed = _param(init, "embed", (config.vocab_size, d), normal)
+        self.embed = make("embed", (config.vocab_size, d), normal)
         self.positions = positional_encoding(config.max_positions, d)
         self.enc_layers = [
-            _EncoderLayer(config, init, f"enc{i}") for i in range(config.enc_layers)
+            _EncoderLayer(config, make, f"enc{i}") for i in range(config.enc_layers)
         ]
+        self.enc_norm = _LayerNormParams(d, make, "enc_norm")
         self.dec_layers = [
-            _DecoderLayer(config, init, f"dec{i}") for i in range(config.dec_layers)
+            _DecoderLayer(config, make, f"dec{i}") for i in range(config.dec_layers)
         ]
-        self.enc_norm = _LayerNormParams(d, init, "enc_norm")
-        self.dec_norm = _LayerNormParams(d, init, "dec_norm")
+        self.dec_norm = _LayerNormParams(d, make, "dec_norm")
         if config.share_embeddings:
             self.out_proj = None
         else:
-            self.out_proj = _param(init, "out_proj", (d, config.vocab_size), _xavier)
-        self._parameters = self._collect_parameters()
-
-    def _collect_parameters(self) -> list[Parameter]:
-        params: list[Parameter] = [self.embed]
-        for layer in self.enc_layers:
-            params.extend(layer.parameters())
-        params.extend(self.enc_norm.parameters())
-        for layer in self.dec_layers:
-            params.extend(layer.parameters())
-        params.extend(self.dec_norm.parameters())
-        if self.out_proj is not None:
-            params.append(self.out_proj)
-        names = [p.name for p in params]
-        if len(set(names)) != len(names) or len(set(map(id, params))) != len(params):
-            raise RuntimeError("parameter registered more than once")
-        return params
+            self.out_proj = make("out_proj", (d, config.vocab_size), _xavier)
+        self._parameters = make.made
 
     def parameters(self) -> list[Parameter]:
         return list(self._parameters)
@@ -464,13 +437,17 @@ class TransformerModel:
 
     @classmethod
     def load(cls, path) -> "TransformerModel":
-        """The model a checkpoint holds, its parameters built from the stored
+        """The model a checkpoint holds, its parameters made from the stored
         arrays (no random initialisation)."""
         meta, arrays = read_container(path)
         if meta.get("config") is None:
             raise ValueError(f"checkpoint {path} carries no model config")
+        try:
+            config = ModelConfig(**meta["config"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint {path}: bad model config: {exc}") from None
         model = cls.__new__(cls)
-        model._build(ModelConfig(**meta["config"]), _Stored(path, arrays))
+        model._build(config, ParameterMaker(stored=arrays, path=path))
         if [p.name for p in model._parameters] != list(arrays):
             raise ValueError(f"checkpoint {path} parameter names do not match config")
         return model
@@ -502,14 +479,24 @@ def write_container(path, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> 
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta dict and the named arrays of a container. A malformed one
+    raises ValueError naming path."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+        prelude = fh.read(12)  # magic, version, header length
+        if prelude[:4] != _MAGIC:
             raise ValueError(f"{path} is not a checkpoint container")
-        version = int(np.frombuffer(fh.read(4), dtype=np.uint32)[0])
+        if len(prelude) != 12:
+            raise ValueError(f"{path}: truncated container header")
+        version, header_len = map(int, np.frombuffer(prelude[4:], dtype=np.uint32))
         if version != _CONTAINER_VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
-        header_len = int(np.frombuffer(fh.read(4), dtype=np.uint32)[0])
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        blob = fh.read(header_len)
+        if len(blob) != header_len:
+            raise ValueError(f"{path}: truncated container header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: container header is not JSON: {exc}") from None
         arrays: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])

@@ -99,12 +99,12 @@ def _require(obj, key, path, kind: str):
 
 
 def read_jsonl(path, fields: dict[str, str], optional: tuple[str, ...] = (),
-               skip: int = 0) -> list[dict]:
+               skip: int = 0, min_lengths: dict[str, int] | None = None) -> list[dict]:
     """Read one JSON object per non-blank line, after the first skip lines.
 
     Each row must be UTF-8 and hold every field not named in optional, and
-    each field it holds must be of its kind (TEXT, ID, ...). Errors are
-    SchemaErrors that name path:line.
+    each field it holds must be of its kind (TEXT, ID, ...) and at least as
+    long as min_lengths names. Errors are SchemaErrors that name path:line.
     """
     rows = []
     for lineno, line in read_lines(path, SchemaError):
@@ -122,6 +122,10 @@ def read_jsonl(path, fields: dict[str, str], optional: tuple[str, ...] = (),
                 _check_kind(row[key], kind, f"{where}: field {key!r}")
             elif key not in optional:
                 raise SchemaError(f"{where}: missing field {key!r}")
+        for key, least in (min_lengths or {}).items():
+            if len(row[key]) < least:
+                raise SchemaError(f"{where}: field {key!r} must have length "
+                                  f">= {least}, got {len(row[key])}")
         rows.append(row)
     return rows
 
@@ -268,5 +272,7 @@ def load_examples(path) -> list[InvertedExample]:
         header = None
     if header != {"format": CACHE_FORMAT, "version": CACHE_VERSION}:
         raise SchemaError(f"{path}:1: unrecognized example cache header")
-    rows = read_jsonl(path, {"id": TEXT, "input_ids": IDS, "target_ids": IDS}, skip=1)
+    # A row trains only with an input and a target of at least [BOS] [EOS].
+    rows = read_jsonl(path, {"id": TEXT, "input_ids": IDS, "target_ids": IDS}, skip=1,
+                      min_lengths={"input_ids": 1, "target_ids": 2})
     return [InvertedExample(r["id"], r["input_ids"], r["target_ids"]) for r in rows]

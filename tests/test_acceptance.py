@@ -19,7 +19,14 @@ from test_model import naive_attention
 from qgen.cli import main as cli_main
 from qgen.evaluation import corpus_report, first_word_frequency, question_distance, wer_tokenize
 from qgen.generation import GenerationConfig, beam_search, greedy_decode
-from qgen.model import ModelConfig, MultiHeadParams, TransformerModel, attention, multi_head
+from qgen.model import (
+    ModelConfig,
+    MultiHeadParams,
+    ParameterMaker,
+    TransformerModel,
+    attention,
+    multi_head,
+)
 from qgen.preprocess import tagged_wordpieces
 from qgen.squad import bucket_by_length, invert, load_squad
 from qgen.tensor import Tensor, check_gradients, cross_entropy_with_logits
@@ -135,7 +142,7 @@ def test_c05_attention_math():
         worst = max(worst, float(np.abs(got - naive_attention(q, k, v)).max()))
 
     d_model = 6
-    params = MultiHeadParams(d_model, 1, np.random.default_rng(3), "t")
+    params = MultiHeadParams(d_model, 1, ParameterMaker(np.random.default_rng(3)), "t")
     for w in (params.wq[0], params.wk[0], params.wv[0], params.wo):
         w.data = np.eye(d_model)
     x = Tensor(rng.normal(size=(5, d_model)))

@@ -5,7 +5,7 @@ import pytest
 
 from qgen.cli import DEFAULTS, EXIT_INPUT, EXIT_IO, EXIT_OK, build_parser, main
 from qgen.generation import GenerationConfig
-from qgen.model import ModelConfig, TransformerModel
+from qgen.model import ModelConfig, TransformerModel, read_container, write_container
 from qgen.training import TrainConfig
 from conftest import DATA_DIR
 
@@ -172,6 +172,33 @@ class TestPipeline:
         assert main(argv) == EXIT_IO
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_checkpoint_config_it_cannot_build_exits_2_naming_the_file(self, tmp_path,
+                                                                       capsys, vocab):
+        save_small_checkpoint(tmp_path / "out", vocab)
+        model_bin = tmp_path / "out" / "checkpoint" / "model.bin"
+        meta, arrays = read_container(model_bin)
+        config = {k: v for k, v in meta["config"].items() if k != "vocab_size"}
+        write_container(model_bin, {"config": config}, list(arrays.items()))
+        gen_in = write_jsonl(tmp_path / "in.jsonl", [
+            {"id": "g0", "passage": "The gold was found in Warsaw.", "answer": "gold"},
+        ])
+        gen_out = tmp_path / "gen_out.jsonl"
+        argv = ["generate", "--paths.out_dir", str(tmp_path / "out"), str(gen_in),
+                str(gen_out)]
+        assert main(argv) == EXIT_INPUT
+        assert f"error: checkpoint {model_bin}: bad model config" in capsys.readouterr().err
+        assert not gen_out.exists()
+
+    def test_train_reads_no_tagger_or_stop_words(self, tmp_path, capsys):
+        _, cache, _ = run_preprocess(tmp_path)
+        argv = ["train", "--paths.examples_cache", str(cache),
+                "--paths.out_dir", str(tmp_path / "run"),
+                "--paths.gazetteer", str(tmp_path / "nonexistent" / "gaz.tsv"),
+                "--paths.stopwords", str(tmp_path / "nonexistent" / "stop.txt"),
+                "--train.total_steps", "1", "--train.warmup_steps", "1",
+                "--train.batch_size", "2", *SMALL_FLAGS]
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "run" / "checkpoint" / "model.bin").exists()
 
     def test_max_length_beyond_max_positions_exits_2(self, tmp_path, capsys, vocab):
         save_small_checkpoint(tmp_path / "out", vocab)
@@ -290,7 +317,12 @@ class TestInputErrors:
         (lambda line: line[:-5], "bad JSON"),
         (lambda line: line.replace('"input_ids":[', '"input_ids":["x",'),
          "field 'input_ids' must be a list of integers, got list"),
-    ], ids=["missing_field", "truncated", "ids_not_integers"])
+        (lambda line: json.dumps({**json.loads(line), "input_ids": []}),
+         "field 'input_ids' must have length >= 1, got 0"),
+        (lambda line: json.dumps({**json.loads(line), "target_ids": [2]}),
+         "field 'target_ids' must have length >= 2, got 1"),
+    ], ids=["missing_field", "truncated", "ids_not_integers", "empty_input",
+            "bos_only_target"])
     def test_bad_cache_row_names_the_line(self, tmp_path, capsys, damage, message):
         _, cache, _ = run_preprocess(tmp_path)
         lines = cache.read_text(encoding="utf-8").splitlines()
@@ -457,6 +489,17 @@ class TestConfigValues:
                 "--train.batch_size", "2", *SMALL_FLAGS, f"--{key}", value]
         assert main(argv) == EXIT_INPUT
         assert f"error: {key} must be " in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_odd_width_names_the_key(self, tmp_path, capsys):
+        _, cache, _ = run_preprocess(tmp_path)
+        capsys.readouterr()
+        run = tmp_path / "run"
+        argv = ["train", "--paths.examples_cache", str(cache), "--paths.out_dir", str(run),
+                "--train.total_steps", "1", "--train.warmup_steps", "1",
+                "--model.d_model", "5", "--model.num_heads", "1"]
+        assert main(argv) == EXIT_INPUT
+        assert "error: model.d_model must be even, got 5" in capsys.readouterr().err
         assert not run.exists()
 
     def test_nan_length_alpha_names_the_key(self, tmp_path, capsys, vocab):

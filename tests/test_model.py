@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qgen.model import (
     DecodeCache,
     ModelConfig,
     MultiHeadParams,
+    ParameterMaker,
     TransformerModel,
     attention,
     multi_head,
@@ -121,7 +123,7 @@ class TestMultiHead:
     def test_single_identity_head_reduces_to_attention(self):
         d = 6
         rng = np.random.default_rng(4)
-        params = MultiHeadParams(d, 1, rng, "t")
+        params = MultiHeadParams(d, 1, ParameterMaker(rng), "t")
         params.wq[0].data = np.eye(d)
         params.wk[0].data = np.eye(d)
         params.wv[0].data = np.eye(d)
@@ -133,14 +135,14 @@ class TestMultiHead:
 
     def test_output_shape(self):
         rng = np.random.default_rng(5)
-        params = MultiHeadParams(8, 4, rng, "t")
+        params = MultiHeadParams(8, 4, ParameterMaker(rng), "t")
         x = Tensor(rng.normal(size=(3, 8)))
         assert multi_head(x, params).shape == (3, 8)
 
     def test_two_heads_match_straight_line_evaluation(self):
         d, h = 4, 2
         rng = np.random.default_rng(6)
-        params = MultiHeadParams(d, h, rng, "t")
+        params = MultiHeadParams(d, h, ParameterMaker(rng), "t")
         x = rng.normal(size=(2, d))
         got = multi_head(Tensor(x), params).data
         heads = []
@@ -155,7 +157,7 @@ class TestMultiHead:
     def test_cross_attention_uses_kv_sequence(self):
         d = 4
         rng = np.random.default_rng(7)
-        params = MultiHeadParams(d, 2, rng, "t")
+        params = MultiHeadParams(d, 2, ParameterMaker(rng), "t")
         x_q = Tensor(rng.normal(size=(3, d)))
         x_kv = Tensor(rng.normal(size=(5, d)))
         out = multi_head(x_q, params, x_kv=x_kv)
@@ -164,7 +166,7 @@ class TestMultiHead:
     def test_batched_equals_per_sequence(self):
         d = 6
         rng = np.random.default_rng(8)
-        params = MultiHeadParams(d, 3, rng, "t")
+        params = MultiHeadParams(d, 3, ParameterMaker(rng), "t")
         batch = rng.normal(size=(4, 5, d))
         together = multi_head(Tensor(batch), params).data
         for b in range(4):
@@ -336,6 +338,79 @@ class TestConfigValidation:
         assert len(names) == len(set(names))
 
 
+def documented_order(cfg):
+    """(name, shape, fill) of every parameter in checkpoint order: the
+    embedding, each encoder layer, enc_norm, each decoder layer, dec_norm,
+    then out_proj when the output projection is not tied."""
+    d, head = cfg.d_model, (cfg.d_model, cfg.d_head)
+    order = [("embed", (cfg.vocab_size, d), "normal")]
+
+    def norm(prefix):
+        order.extend([(f"{prefix}.gain", (d,), "ones"), (f"{prefix}.bias", (d,), "zeros")])
+
+    def attention_block(prefix):
+        for w in ("wq", "wk", "wv"):
+            order.extend((f"{prefix}.{w}{i}", head, "xavier") for i in range(cfg.num_heads))
+        order.append((f"{prefix}.wo", (d, d), "xavier"))
+
+    def feed_forward(prefix):
+        order.extend([(f"{prefix}.w1", (d, cfg.d_ff), "xavier"),
+                      (f"{prefix}.b1", (cfg.d_ff,), "zeros"),
+                      (f"{prefix}.w2", (cfg.d_ff, d), "xavier"),
+                      (f"{prefix}.b2", (d,), "zeros")])
+
+    for i in range(cfg.enc_layers):
+        norm(f"enc{i}.ln1")
+        attention_block(f"enc{i}.attn")
+        norm(f"enc{i}.ln2")
+        feed_forward(f"enc{i}.ffn")
+    norm("enc_norm")
+    for i in range(cfg.dec_layers):
+        norm(f"dec{i}.ln1")
+        attention_block(f"dec{i}.self_attn")
+        norm(f"dec{i}.ln2")
+        attention_block(f"dec{i}.cross_attn")
+        norm(f"dec{i}.ln3")
+        feed_forward(f"dec{i}.ffn")
+    norm("dec_norm")
+    if not cfg.share_embeddings:
+        order.append(("out_proj", (d, cfg.vocab_size), "xavier"))
+    return order
+
+
+class TestParameterOrder:
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_initial_values_redrawn_in_the_documented_order(self, shared):
+        """Only the embedding (normal) and the weight matrices (Xavier
+        uniform) draw, in checkpoint order; norms and biases draw nothing."""
+        cfg = small_config(share_embeddings=shared, num_heads=4)
+        model = TransformerModel(cfg, seed=11)
+        rng = np.random.default_rng(11)
+        params = model.parameters()
+        order = documented_order(cfg)
+        assert [p.name for p in params] == [name for name, _, _ in order]
+        for p, (name, shape, fill) in zip(params, order):
+            if fill == "normal":
+                want = rng.normal(0.0, 1.0 / math.sqrt(cfg.d_model), size=shape)
+            elif fill == "xavier":
+                limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+                want = rng.uniform(-limit, limit, size=shape)
+            else:
+                want = np.ones(shape) if fill == "ones" else np.zeros(shape)
+            assert p.data.tobytes() == want.tobytes(), name
+            assert p.data.shape == shape, name
+
+    def test_checkpoint_lists_the_parameters_in_order(self, tmp_path):
+        cfg = small_config(share_embeddings=False)
+        model = TransformerModel(cfg, seed=0)
+        path = tmp_path / "m.bin"
+        model.save(path)
+        _, arrays = read_container(path)
+        names = [p.name for p in model.parameters()]
+        assert list(arrays) == names == [name for name, _, _ in documented_order(cfg)]
+        assert names.index("enc_norm.bias") < names.index("dec0.ln1.gain")
+
+
 class TestCheckpoint:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model = TransformerModel(small_config(), seed=5)
@@ -424,3 +499,35 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="container"):
             read_container(path)
+
+    @pytest.mark.parametrize("cut", [4, 6, 10, 20],
+                             ids=["after_magic", "in_version", "in_length", "in_header"])
+    def test_cut_header_names_the_file(self, tmp_path, cut):
+        path = tmp_path / "m.bin"
+        TransformerModel(small_config(), seed=0).save(path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated container header")):
+            read_container(path)
+
+    def test_header_not_json_names_the_file(self, tmp_path):
+        path = tmp_path / "m.bin"
+        TransformerModel(small_config(), seed=0).save(path)
+        data = bytearray(path.read_bytes())
+        data[12] = ord("[")  # the header's opening brace
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: container header is not JSON")):
+            read_container(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda config: {**config, "extra": 1},
+        lambda config: {k: v for k, v in config.items() if k != "vocab_size"},
+        lambda config: list(config),
+        lambda config: {**config, "d_model": "8"},
+    ], ids=["extra_key", "no_vocab_size", "list", "width_as_text"])
+    def test_config_the_model_rejects_names_the_file(self, tmp_path, damage):
+        path = tmp_path / "m.bin"
+        TransformerModel(small_config(), seed=0).save(path)
+        meta, arrays = read_container(path)
+        write_container(path, {"config": damage(meta["config"])}, list(arrays.items()))
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: bad model config")):
+            TransformerModel.load(path)

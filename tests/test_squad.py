@@ -261,6 +261,23 @@ class TestExampleCache:
         with pytest.raises(SchemaError, match=re.escape(f"{path}:1: unrecognized")):
             load_examples(path)
 
+    @pytest.mark.parametrize("input_ids,target_ids,message", [
+        ([], [2, 5, 3], "field 'input_ids' must have length >= 1, got 0"),
+        ([7], [], "field 'target_ids' must have length >= 2, got 0"),
+        ([7], [2], "field 'target_ids' must have length >= 2, got 1"),
+    ], ids=["empty_input", "empty_target", "bos_only_target"])
+    def test_row_that_cannot_train_names_the_line(self, examples, tmp_path,
+                                                   input_ids, target_ids, message):
+        path = tmp_path / "cache.jsonl"
+        save_examples(examples[:2] + [InvertedExample("bad", input_ids, target_ids)], path)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:4: {message}")):
+            load_examples(path)
+
+    def test_shortest_trainable_row_loads(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        save_examples([InvertedExample("q", [7], [2, 3])], path)
+        assert load_examples(path) == [InvertedExample("q", [7], [2, 3])]
+
 
 class TestReadJsonl:
     def test_rows_in_order_skipping_blank_and_leading_lines(self, tmp_path):
