@@ -58,7 +58,8 @@ DEFAULTS: dict[str, object] = {
     "paths.examples_cache": "examples_cache.jsonl",
     "paths.out_dir": "out",
     "paths.checkpoint_dir": "",
-    **_keys("model", ModelConfig(vocab_size=1), skip=_FROM_VOCAB),
+    # Four ids hold the default pad, bos and eos ids.
+    **_keys("model", ModelConfig(vocab_size=4), skip=_FROM_VOCAB),
     "data.max_input_ids": MAX_INPUT_IDS,
     "data.max_target_ids": MAX_TARGET_IDS,
     "data.buckets": ",".join(f"{a}:{b}" for a, b in DEFAULT_BUCKET_BOUNDS),

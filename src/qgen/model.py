@@ -10,6 +10,7 @@ holding the config and every named parameter as little-endian float64.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -70,6 +71,11 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        for name in ("pad_id", "bos_id", "eos_id"):
+            value = getattr(self, name)
+            if type(value) is not int or not 0 <= value < self.vocab_size:
+                raise ValueError(f"{name} must be an integer in [0, vocab_size "
+                                 f"{self.vocab_size}), got {value!r}")
 
     @property
     def d_head(self) -> int:
@@ -340,17 +346,23 @@ class TransformerModel:
         for p in self._parameters:
             p.zero_grad()
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the model computes in: its parameters' (float64, but
+        for the compute copies a training step swaps in)."""
+        return self.embed.data.dtype
+
     # -- masks ----------------------------------------------------------
 
     def _pad_mask(self, ids: np.ndarray) -> np.ndarray:
         """(B, 1, 1, m) additive mask hiding [PAD] key positions."""
-        return np.where(ids == self.config.pad_id, MASK_VALUE, 0.0)[:, None, None, :]
+        hide, see = self.dtype.type(MASK_VALUE), self.dtype.type(0.0)
+        return np.where(ids == self.config.pad_id, hide, see)[:, None, None, :]
 
-    @staticmethod
-    def _causal_mask(t: int, start: int = 0) -> np.ndarray:
+    def _causal_mask(self, t: int, start: int = 0) -> np.ndarray:
         """(t, start + t) mask: the query at position start + i sees keys
         0 .. start + i."""
-        return np.triu(np.full((t, start + t), MASK_VALUE), k=start + 1)
+        return np.triu(np.full((t, start + t), MASK_VALUE, self.dtype), k=start + 1)
 
     @staticmethod
     def _as_batch(ids) -> tuple[np.ndarray, bool]:
@@ -374,8 +386,11 @@ class TransformerModel:
             )
 
     def _embed_sequence(self, ids: np.ndarray, rng, start: int = 0) -> Tensor:
-        x = mul(embedding(self.embed, ids), np.sqrt(self.config.d_model))
-        pos = Tensor(self.positions.data[start: start + ids.shape[-1]])
+        # A float64 scalar or table would promote a float32 sum (NEP 50).
+        dtype = self.dtype
+        x = mul(embedding(self.embed, ids), dtype.type(np.sqrt(self.config.d_model)))
+        pos = self.positions.data[start: start + ids.shape[-1]]
+        pos = Tensor(pos.astype(dtype, copy=False))
         return dropout(add(x, pos), self.config.dropout, rng)
 
     # -- forward passes --------------------------------------------------
@@ -497,14 +512,36 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             header = json.loads(blob.decode("utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ValueError(f"{path}: container header is not JSON: {exc}") from None
+        if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+                and isinstance(header.get("tensors"), list)):
+            raise ValueError(f"{path}: container header is not an object with a "
+                             f"'meta' object and a 'tensors' list")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         arrays: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
+            name, shape = _tensor_entry(path, entry)
+            if name in arrays:
+                raise ValueError(f"{path}: tensor {name!r} is stored twice")
+            size = 8 * math.prod(shape)
+            if size > left:
+                raise ValueError(f"{path}: truncated tensor {name!r}")
+            left -= size
             # A buffer of its own per tensor, so the array is writable
             # without a copy.
-            raw = bytearray(8 * n)
+            raw = bytearray(size)
             if fh.readinto(raw) != len(raw):
-                raise ValueError(f"{path}: truncated tensor {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+                raise ValueError(f"{path}: truncated tensor {name!r}")
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
     return header["meta"], arrays
+
+
+def _tensor_entry(path, entry) -> tuple[str, tuple[int, ...]]:
+    """The name and shape of one entry of a container's tensor list."""
+    name = entry.get("name") if isinstance(entry, dict) else None
+    if not isinstance(name, str):
+        raise ValueError(f"{path}: container tensor entry {entry!r} has no name")
+    shape = entry.get("shape")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{path}: tensor {name!r} has shape {shape!r}, not a list "
+                         f"of non-negative integers")
+    return name, tuple(shape)

@@ -1,11 +1,13 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
 The graph is recorded eagerly: every differentiable op returns a Tensor that
 remembers its parents and a closure producing their adjoints. backward() on a
 scalar walks the recorded graph once in reverse topological order; after the
 pass only the leaves (Parameters and other parentless nodes) and the loss keep
-a .grad. Attention is one fused node. Everything is stored as row-major
-float64; shapes are checked up front and mismatches fail loudly.
+a .grad. Attention is one fused node. A tensor keeps its data's floating
+dtype (anything else becomes float64), and an op on operands of one dtype
+computes in it, gradients too; shapes are checked up front and mismatches
+fail loudly.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -74,10 +77,11 @@ class Parameter(Tensor):
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.grad = np.zeros(self.data.shape)
+        self.zero_grad()
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros(self.data.shape)
+        # Not zeros_like: np.zeros leaves the pages untouched until written.
+        self.grad = np.zeros(self.data.shape, self.data.dtype)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -86,7 +90,7 @@ class Parameter(Tensor):
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return Tensor(x)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
@@ -310,7 +314,7 @@ def attention(q, k, v, mask=None) -> Tensor:
         raise ShapeError(f"attention: k rows {k.shape} != v rows {v.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: q cols {q.shape} != k cols {k.shape}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps q's dtype
     scores = q.data @ np.swapaxes(k.data, -1, -2)
     scores *= scale
     if mask is not None:
@@ -431,7 +435,8 @@ def cross_entropy_with_logits(
             target_dist[np.arange(len(tgt)), idx] = 1.0 - label_smoothing
             if label_smoothing > 0.0:
                 target_dist += label_smoothing / v
-            gl = (p - target_dist) * (valid[:, None] * (float(g) / count))
+            weight = (valid[:, None] * (float(g) / count)).astype(p.dtype, copy=False)
+            gl = (p - target_dist) * weight
             return (gl.reshape(logits.shape),)
         out._backward = _bw
     return out
@@ -463,7 +468,7 @@ def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    keep = (rng.random(a.shape) >= rate) / a.data.dtype.type(1.0 - rate)
     out = _result(a.data * keep, (a,))
     if out.requires_grad:
         out._backward = lambda g: (g * keep,)

@@ -19,6 +19,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
 
+# The forward and backward passes of a training step run at this dtype, on
+# copies of the float64 master weights; see train_step.
+COMPUTE_DTYPE = np.float32
+
 
 class NumericalError(RuntimeError):
     """Training produced a non-finite loss; message carries step/bucket/lr."""
@@ -127,9 +131,17 @@ def adam_step(model: TransformerModel, state: TrainState, lr: float,
 
 
 def train_step(model: TransformerModel, batch, state: TrainState,
-               config: TrainConfig) -> tuple[float, float]:
+               config: TrainConfig, *, compute_dtype=COMPUTE_DTYPE
+               ) -> tuple[float, float]:
     """One optimization step; returns the loss and the gradients' global L2
     norm before clipping.
+
+    The forward and backward passes run at compute_dtype: each parameter's
+    float64 master array is swapped for a copy at that dtype (none for
+    float64) and put back when they end, whether or not they raised. The
+    gradients are then cast to float64, so clipping, Adam and the masters
+    see only float64 arrays (mixed-precision training, Micikevicius et al.
+    2018).
 
     batch is (input_ids, target_ids, bucket_label), each matrix padded to
     its bucket's width; targets include the leading [BOS] and trailing
@@ -148,21 +160,31 @@ def train_step(model: TransformerModel, batch, state: TrainState,
         enc_rng = _BucketDraws(state.rng, inputs.shape[1])
         dec_rng = _BucketDraws(state.rng, targets.shape[1] - 1)
     inputs, targets = _trim(inputs, pad_id), _trim(targets, pad_id)
+    params = model.parameters()
+    masters = [p.data for p in params]
     try:
-        enc_out, src_ids = model.encode(inputs, enc_rng)
-        logits = model.decode(enc_out, src_ids, targets[:, :-1], dec_rng)
-        step_loss = cross_entropy_with_logits(
-            logits, targets[:, 1:], pad_id, config.label_smoothing
-        )
-        value = step_loss.item()
-    except ShapeError:
-        raise
-    except ValueError as exc:
-        raise NumericalError(state.step, bucket_label, lr) from exc
-    if not np.isfinite(value):
-        raise NumericalError(state.step, bucket_label, lr)
-    model.zero_grads()
-    backward(step_loss)
+        for p in params:
+            p.data = p.data.astype(compute_dtype, copy=False)
+        try:
+            enc_out, src_ids = model.encode(inputs, enc_rng)
+            logits = model.decode(enc_out, src_ids, targets[:, :-1], dec_rng)
+            step_loss = cross_entropy_with_logits(
+                logits, targets[:, 1:], pad_id, config.label_smoothing
+            )
+            value = step_loss.item()
+        except ShapeError:
+            raise
+        except ValueError as exc:
+            raise NumericalError(state.step, bucket_label, lr) from exc
+        if not np.isfinite(value):
+            raise NumericalError(state.step, bucket_label, lr)
+        model.zero_grads()
+        backward(step_loss)
+    finally:
+        for p, master in zip(params, masters):
+            p.data = master
+    for p in params:
+        p.grad = p.grad.astype(np.float64, copy=False)
     grad_norm = clip_gradients(model, config.clip_norm)
     adam_step(model, state, lr, config.weight_decay)
     state.step += 1
@@ -224,7 +246,9 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     Batches are drawn from non-empty buckets with probability proportional to
     bucket size. Metrics go to out_dir/metrics.jsonl, one record per step:
     step, bucket (its label), loss, lr, grad_norm (before clipping),
-    real_tokens (the non-pad input and target tokens) and tokens_per_sec,
+    clipped (whether grad_norm exceeded clip_norm), real_tokens (the non-pad
+    input and target tokens), pad_fraction (the [PAD] share of the input and
+    target positions the step computed, after _trim) and tokens_per_sec,
     the one field that is not the same on every run; checkpoints
     land in out_dir/checkpoint every checkpoint_interval steps and at the
     end, once. A resumed run (state.step > 0) first drops the log's records of
@@ -262,13 +286,16 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
             value, grad_norm = train_step(model, batch, state, config)
             elapsed = max(time.perf_counter() - started, 1e-9)
             tokens = int((batch[0] != pad_id).sum() + (batch[1] != pad_id).sum())
+            computed = _trim(batch[0], pad_id).size + _trim(batch[1], pad_id).size
             record = {
                 "step": state.step,
                 "bucket": batch[2],
                 "loss": value,
                 "lr": learning_rate(state.step, config),
                 "grad_norm": grad_norm,
+                "clipped": grad_norm > config.clip_norm,
                 "real_tokens": tokens,
+                "pad_fraction": 1.0 - tokens / computed,
                 "tokens_per_sec": tokens / elapsed,
             }
             metrics.write(json.dumps(record) + "\n")

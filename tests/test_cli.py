@@ -126,8 +126,8 @@ class TestPipeline:
         metrics = (out / "metrics.jsonl").read_text().splitlines()
         assert len(metrics) == 3
         record = json.loads(metrics[0])
-        assert set(record) == {"step", "bucket", "loss", "lr", "grad_norm",
-                               "real_tokens", "tokens_per_sec"}
+        assert set(record) == {"step", "bucket", "loss", "lr", "grad_norm", "clipped",
+                               "real_tokens", "pad_fraction", "tokens_per_sec"}
 
         gen_in = tmp_path / "gen_in.jsonl"
         gen_in.write_text(
@@ -188,6 +188,44 @@ class TestPipeline:
         assert main(argv) == EXIT_INPUT
         assert f"error: checkpoint {model_bin}: bad model config" in capsys.readouterr().err
         assert not gen_out.exists()
+
+    @pytest.mark.parametrize("header,message", [
+        ([], "container header is not an object"),
+        ({"meta": {}}, "container header is not an object"),
+        ({"meta": [], "tensors": []}, "container header is not an object"),
+        ({"meta": {}, "tensors": [{"name": "embed", "shape": [-1, 8]}]},
+         "tensor 'embed' has shape [-1, 8], not a list of non-negative integers"),
+    ], ids=["list", "no_tensors", "meta_not_an_object", "negative_dimension"])
+    def test_checkpoint_header_it_cannot_use_exits_2_naming_the_file(
+            self, tmp_path, capsys, vocab, header, message):
+        save_small_checkpoint(tmp_path / "out", vocab)
+        model_bin = tmp_path / "out" / "checkpoint" / "model.bin"
+        blob = json.dumps(header).encode("utf-8")
+        prelude = model_bin.read_bytes()[:8]  # magic and version
+        model_bin.write_bytes(prelude + len(blob).to_bytes(4, "little") + blob)
+        gen_in = write_jsonl(tmp_path / "in.jsonl", [
+            {"id": "g0", "passage": "The gold was found in Warsaw.", "answer": "gold"},
+        ])
+        argv = ["generate", "--paths.out_dir", str(tmp_path / "out"), str(gen_in),
+                str(tmp_path / "gen_out.jsonl")]
+        assert main(argv) == EXIT_INPUT
+        assert f"error: {model_bin}: {message}" in capsys.readouterr().err
+
+    def test_checkpoint_special_id_outside_the_vocabulary_names_file_and_field(
+            self, tmp_path, capsys, vocab):
+        save_small_checkpoint(tmp_path / "out", vocab)
+        model_bin = tmp_path / "out" / "checkpoint" / "model.bin"
+        meta, arrays = read_container(model_bin)
+        write_container(model_bin, {"config": {**meta["config"], "bos_id": 99999}},
+                        list(arrays.items()))
+        gen_in = write_jsonl(tmp_path / "in.jsonl", [
+            {"id": "g0", "passage": "The gold was found in Warsaw.", "answer": "gold"},
+        ])
+        argv = ["generate", "--paths.out_dir", str(tmp_path / "out"), str(gen_in),
+                str(tmp_path / "gen_out.jsonl")]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {model_bin}: bad model config: bos_id must be" in err
 
     def test_train_reads_no_tagger_or_stop_words(self, tmp_path, capsys):
         _, cache, _ = run_preprocess(tmp_path)

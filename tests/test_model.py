@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -332,6 +333,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive"):
             small_config(d_ff=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("pad_id", -1), ("bos_id", 16), ("eos_id", 99999), ("eos_id", 3.0), ("pad_id", True),
+    ])
+    def test_special_ids_must_be_in_the_vocabulary(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer in \[0, "):
+            small_config(**{field: value})
+
     def test_parameters_registered_once(self):
         model = TransformerModel(small_config(), seed=0)
         names = [p.name for p in model.parameters()]
@@ -493,6 +501,27 @@ class TestCheckpoint:
         params[0].data[...] += 1.0
         for p, was in zip(params[1:], before[1:]):
             np.testing.assert_array_equal(p.data, was)
+
+    @pytest.mark.parametrize("entries,message", [
+        (["embed"], "container tensor entry 'embed' has no name"),
+        ([{"shape": [2]}], "container tensor entry {'shape': [2]} has no name"),
+        ([{"name": "a", "shape": [2.0]}], "tensor 'a' has shape [2.0], not a list"),
+        ([{"name": "a", "shape": 2}], "tensor 'a' has shape 2, not a list"),
+        ([{"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}],
+         "tensor 'a' is stored twice"),
+        ([{"name": "a", "shape": [10 ** 12, 10 ** 12]}], "truncated tensor 'a'"),
+    ], ids=["not_an_object", "no_name", "float_dimension", "shape_not_a_list",
+            "repeated_name", "larger_than_the_file"])
+    def test_tensor_entry_it_cannot_use_names_the_file(self, tmp_path, entries, message):
+        path = tmp_path / "c.bin"
+        write_container(path, {}, [("a", np.zeros(1)), ("b", np.zeros(1))])
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[8:12], "little")
+        blob = json.dumps({"meta": {}, "tensors": entries}).encode("utf-8")
+        path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob
+                         + data[12 + header_len:])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_container(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -8,7 +8,7 @@ import pytest
 
 from qgen.model import ModelConfig, TransformerModel, write_container
 from qgen.squad import Bucket, InvertedExample
-from qgen import training
+from qgen import tensor, training
 from qgen.tensor import Tensor, backward, cross_entropy_with_logits
 from qgen.training import (
     NumericalError,
@@ -230,7 +230,10 @@ class TestTrainStep:
             batch = batch_from(ragged_bucket(seed=seed))
             assert training._trim(batch[0], 0).shape[1] < batch[0].shape[1]
             assert training._trim(batch[1], 0).shape[1] < batch[1].shape[1]
-            loss, _ = train_step(trimmed, batch, trimmed_state, cfg)
+            # At float64, as reference_step: trimming changes the GEMMs'
+            # shapes, and so float32 rounding, but not what they compute.
+            loss, _ = train_step(trimmed, batch, trimmed_state, cfg,
+                                 compute_dtype=np.float64)
             assert abs(loss - reference_step(padded, batch, padded_state, cfg)) < 1e-12
             for p, q in zip(trimmed.parameters(), padded.parameters(), strict=True):
                 assert np.abs(p.data - q.data).max() < 1e-12, p.name
@@ -250,6 +253,60 @@ class TestTrainStep:
         state = TrainState(model, seed=0)
         train_step(model, batch_from(tiny_bucket()), state, cfg)
         assert state.step == 1
+
+
+class TestComputeDtype:
+    def test_a_step_computes_at_float32_and_keeps_float64_masters(self, monkeypatch):
+        model = tiny_model(seed=5, dropout=0.1)
+        cfg = TrainConfig(total_steps=10, warmup_steps=5, label_smoothing=0.1)
+        state = TrainState(model, seed=0)
+        nodes, grads = [], []
+
+        def result_spy(data, parents):
+            nodes.append(data.dtype)
+            return make_result(data, parents)
+
+        def backward_spy(loss):
+            run_backward(loss)
+            grads.extend((p.name, p.grad.dtype) for p in model.parameters())
+
+        make_result, run_backward = tensor._result, training.backward
+        monkeypatch.setattr(tensor, "_result", result_spy)
+        monkeypatch.setattr(training, "backward", backward_spy)
+        train_step(model, batch_from(ragged_bucket()), state, cfg,
+                   compute_dtype=np.float32)
+        assert len(nodes) > 50 and set(nodes) == {np.dtype(np.float32)}
+        assert len(grads) == len(model.parameters())
+        assert all(dtype == np.float32 for _, dtype in grads), grads
+        for p in model.parameters():
+            assert p.data.dtype == p.grad.dtype == np.float64, p.name
+            assert state.m[p.name].dtype == state.v[p.name].dtype == np.float64
+
+    def test_a_failed_step_puts_the_masters_back(self):
+        model = tiny_model(seed=2)
+        model.embed.data[4] = np.nan
+        masters = [p.data for p in model.parameters()]
+        cfg = TrainConfig(total_steps=10, warmup_steps=5)
+        with pytest.raises(NumericalError):
+            train_step(model, batch_from(tiny_bucket()), TrainState(model, seed=0), cfg,
+                       compute_dtype=np.float32)
+        for p, master in zip(model.parameters(), masters, strict=True):
+            assert p.data is master and p.data.dtype == np.float64, p.name
+
+    def test_float32_step_agrees_with_the_float64_step(self):
+        cfg = TrainConfig(total_steps=10, base_lr=1e-2, warmup_steps=2,
+                          label_smoothing=0.1)
+        low, high = tiny_model(seed=3, dropout=0.1), tiny_model(seed=3, dropout=0.1)
+        low_state, high_state = TrainState(low, 5), TrainState(high, 5)
+        for seed in range(3):
+            batch = batch_from(ragged_bucket(seed=seed))
+            loss, norm = train_step(low, batch, low_state, cfg, compute_dtype=np.float32)
+            ref_loss, ref_norm = train_step(high, batch, high_state, cfg,
+                                            compute_dtype=np.float64)
+            assert loss == pytest.approx(ref_loss, rel=1e-5)
+            assert norm == pytest.approx(ref_norm, rel=1e-5)
+            for p, q in zip(low.parameters(), high.parameters(), strict=True):
+                assert np.abs(p.data - q.data).max() < 1e-6, p.name
 
 
 class TestTrainLoop:
@@ -389,6 +446,27 @@ class TestTrainLoop:
         # left as backward made them.
         norm = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in model.parameters()))
         assert records[-1]["grad_norm"] == pytest.approx(norm, rel=1e-12)
+
+    @pytest.mark.parametrize("clip_norm", [1e-6, 1e9])
+    def test_records_hold_clipping_and_the_computed_pad_share(self, tmp_path, clip_norm):
+        # The batch is the bucket's three rows. Inputs of 6, 4 and 2 ids cut
+        # to 6 columns hold 6 [PAD]s of 18; targets of 5, 3 and 4 ids cut to
+        # 5 columns hold 3 of 15.
+        rows = [([4] * 6, [2, 5, 6, 7, 3]), ([5] * 4, [2, 5, 3]), ([6] * 2, [2, 5, 6, 3])]
+        examples = [InvertedExample(f"p{i}", ids, tgt) for i, (ids, tgt) in enumerate(rows)]
+        cfg = TrainConfig(total_steps=3, warmup_steps=2, batch_size=3, clip_norm=clip_norm)
+        runs = []
+        for run in ("a", "b"):
+            train(tiny_model(seed=9, dropout=0.1), [Bucket(10, 8, examples)], cfg,
+                  tmp_path / run)
+            lines = (tmp_path / run / "metrics.jsonl").read_text().splitlines()
+            records = [json.loads(line) for line in lines]
+            for r in records:
+                assert r["clipped"] is (clip_norm == 1e-6)
+                assert r["pad_fraction"] == pytest.approx(9 / 33, abs=1e-15)
+                r.pop("tokens_per_sec")
+            runs.append(records)
+        assert runs[0] == runs[1]
 
     def test_row_lengths_do_not_change_the_batch_sequence(self, tmp_path):
         """Two caches whose buckets hold as many rows, but rows of other
