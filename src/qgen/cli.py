@@ -28,11 +28,13 @@ from .squad import (
     invert,
     load_examples,
     load_squad,
+    read_json,
     read_jsonl,
     save_examples,
+    write_json,
 )
 from .training import NumericalError, TrainConfig, train
-from .wordpiece import load_vocabulary, read_lines
+from .wordpiece import load_vocabulary
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -91,17 +93,15 @@ def _parse_value(key: str, raw: str):
 def load_config(config_path: str | None, overrides: list[tuple[str, str]]) -> dict:
     cfg = dict(DEFAULTS)
     if config_path:
-        text = "\n".join(line for _, line in read_lines(config_path, SchemaError))
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{config_path}:{exc.lineno}: bad JSON: {exc.msg} "
-                              f"at column {exc.colno}") from None
+        doc = read_json(config_path)
         if not isinstance(doc, dict):
             raise SchemaError(f"{config_path}: expected a JSON object of config keys")
         for key, value in doc.items():
             if key not in DEFAULTS:
                 raise SchemaError(f"unknown config key {key!r} in {config_path}")
+            if not isinstance(value, (str, int, float)):  # null, a list, an object
+                raise SchemaError(f"config key {key!r} in {config_path} must be a string, "
+                                  f"a number or a boolean, got {json.dumps(value)}")
             cfg[key] = _parse_value(key, str(value))
     for key, raw in overrides:
         cfg[key] = _parse_value(key, raw)
@@ -217,9 +217,7 @@ def cmd_preprocess(cfg: dict) -> int:
         print("warning: no questions found; cache is empty", file=sys.stderr)
     os.makedirs(cfg["paths.out_dir"], exist_ok=True)
     summary_path = os.path.join(cfg["paths.out_dir"], "preprocess_summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(summary_path, summary)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -227,10 +225,7 @@ def cmd_preprocess(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     train_cfg = _section_config(TrainConfig, cfg, "train", seed=cfg["seed"])
     vocab = load_vocabulary(_resource_or_path(cfg, "paths.vocab", "vocab.txt"))
-    cache_path = cfg["paths.examples_cache"]
-    if not os.path.exists(cache_path):
-        raise FileNotFoundError(f"paths.examples_cache: no such file: {cache_path}")
-    examples = load_examples(cache_path)
+    examples = load_examples(_require_file(cfg, "paths.examples_cache"))
     buckets = bucket_by_length(examples, _parse_buckets(cfg["data.buckets"]))
     model = TransformerModel(_model_config(cfg, vocab), seed=cfg["seed"])
     state, ckpt_dir = train(model, buckets, train_cfg, cfg["paths.out_dir"])
@@ -238,19 +233,18 @@ def cmd_train(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _checkpoint_dir(cfg: dict) -> str:
+def _checkpoint_model(cfg: dict) -> str:
     ckpt = cfg["paths.checkpoint_dir"] or os.path.join(cfg["paths.out_dir"], "checkpoint")
     model_file = os.path.join(ckpt, "model.bin")
     if not os.path.exists(model_file):
         raise FileNotFoundError(f"checkpoint not found: {model_file}")
-    return ckpt
+    return model_file
 
 
 def cmd_generate(cfg: dict, input_jsonl: str, output_jsonl: str) -> int:
     gen_cfg = _section_config(GenerationConfig, cfg, "generate")
     vocab, tagger, stoplist = _load_shared(cfg)
-    ckpt = _checkpoint_dir(cfg)
-    model = TransformerModel.load(os.path.join(ckpt, "model.bin"))
+    model = TransformerModel.load(_checkpoint_model(cfg))
     records = read_jsonl(input_jsonl, {"id": ID, "passage": TEXT, "answer": TEXT})
     rows = generate_batch(
         model, records, tagger, stoplist, vocab, gen_cfg,
@@ -293,9 +287,7 @@ def cmd_evaluate(cfg: dict, refs_path: str, hyps_path: str) -> int:
     report = corpus_report(pairs)
     out_dir = cfg["paths.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), report.to_json_dict())
     report.write_csv(os.path.join(out_dir, "report.csv"))
     text = report.to_text()
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:

@@ -11,7 +11,7 @@ import numpy as np
 from .model import DecodeCache
 from .preprocess import ENTITY_TAGS, EntityTagger, PreprocessError, preprocess_pair
 from .squad import MAX_INPUT_IDS, clip_input
-from .tensor import no_grad
+from .tensor import log_softmax, no_grad
 from .wordpiece import TokenSequence, Vocabulary
 from . import preprocess as _preprocess
 
@@ -44,16 +44,6 @@ class BeamHypothesis:
 
     def score(self, alpha: float) -> float:
         return self.log_prob / (len(self.tokens) ** alpha)
-
-
-def _log_softmax(rows: np.ndarray) -> np.ndarray:
-    top = rows.max(axis=-1, keepdims=True)
-    # NaN, +inf and a row of only -inf reach the maxima; a -inf entry in a
-    # row with a finite maximum is a token that is never picked.
-    if not np.isfinite(top).all():
-        raise ValueError("decoder logits contain NaN or infinity")
-    shifted = rows - top
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _top_k(logp: np.ndarray, width: int) -> np.ndarray:
@@ -99,7 +89,7 @@ def _search(
         last = np.full((len(widths), 1), model.config.bos_id, dtype=np.int64)
         for position in range(1, cfg.max_length + 1):
             logits = model.decode(enc_out, src_ids, last, cache=cache)
-            logp = _log_softmax(logits.data[:, -1])
+            logp = log_softmax(logits.data[:, -1], "decoder logits")
             if position == cfg.max_length:
                 picks = np.full((len(live), 1), eos)
             else:

@@ -123,21 +123,19 @@ def _heads(x, weights, num_heads: int) -> Tensor:
     return swap_axes(split, -3, -2)
 
 
-def multi_head(x_q, params: MultiHeadParams, mask=None, x_kv=None, kv=None) -> Tensor:
+def multi_head(x_q, params: MultiHeadParams, mask=None, kv=None) -> Tensor:
     """Multi-head attention: project per head, attend, concatenate, project out.
 
-    x_kv defaults to x_q (self-attention); pass the encoder output for
-    cross-attention. kv, if given, is the keys and values already projected
-    (params.keys_values) and x_kv is not used. Heads are evaluated together
+    kv is the keys and values attended to, as params.keys_values projects
+    them; it defaults to those of x_q (self-attention). Cross-attention
+    passes params.keys_values(encoder output). Heads are evaluated together
     by stacking them on a leading axis, which is numerically identical to
     looping per head.
     """
-    if x_kv is None:
-        x_kv = x_q
     if x_q.shape[-1] != params.d_model:
         raise ShapeError(f"multi_head: input width {x_q.shape} != {params.d_model}")
     q = _heads(x_q, params.wq, params.num_heads)
-    k, v = params.keys_values(x_kv) if kv is None else kv
+    k, v = params.keys_values(x_q) if kv is None else kv
     heads = attention(q, k, v, mask)  # (..., h, m, d_head)
     merged = reshape(swap_axes(heads, -3, -2), (*x_q.shape[:-1], params.d_model))
     return matmul(merged, params.wo)
@@ -178,15 +176,8 @@ class ParameterMaker:
         if name in self._names:
             raise RuntimeError(f"parameter {name} made more than once")
         self._names.add(name)
-        if self.stored is None:
-            values = fill(self.rng, shape)
-        elif name not in self.stored:
-            raise ValueError(f"checkpoint {self.path} parameter names do not match config")
-        elif self.stored[name].shape != shape:
-            raise ValueError(f"checkpoint {self.path}: {name} has shape "
-                             f"{self.stored[name].shape}, expected {shape}")
-        else:
-            values = self.stored[name]
+        values = (fill(self.rng, shape) if self.stored is None
+                  else stored_array(self.stored, name, shape, self.path))
         param = Parameter(values, name)
         self.made.append(param)
         return param
@@ -241,21 +232,15 @@ class _DecoderLayer:
         """cache, if given, holds this layer's keys and values under index;
         the new rows' self-attention keys and values are appended to it."""
         h = self.ln1(x)
-        self_kv = cross_kv = None
-        if cache is not None:
+        if cache is None:
+            self_kv, cross_kv = None, self.cross_attn.keys_values(enc_out)
+        else:
             self_kv = cache.extend(index, *self.self_attn.keys_values(h))
             cross_kv = cache.cross(index, self.cross_attn, enc_out)
-        x = add(x, dropout(multi_head(h, self.self_attn, self_mask, kv=self_kv),
+        x = add(x, dropout(multi_head(h, self.self_attn, self_mask, self_kv),
                            self.rate, rng))
-        x = add(
-            x,
-            dropout(
-                multi_head(self.ln2(x), self.cross_attn, cross_mask, x_kv=enc_out,
-                           kv=cross_kv),
-                self.rate,
-                rng,
-            ),
-        )
+        x = add(x, dropout(multi_head(self.ln2(x), self.cross_attn, cross_mask, cross_kv),
+                           self.rate, rng))
         return add(x, dropout(self.ffn(self.ln3(x)), self.rate, rng))
 
 
@@ -533,6 +518,17 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise ValueError(f"{path}: truncated tensor {name!r}")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
     return header["meta"], arrays
+
+
+def stored_array(arrays: dict[str, np.ndarray], name: str, shape, path) -> np.ndarray:
+    """arrays[name] of the container at path, which must hold it at shape."""
+    if name not in arrays:
+        raise ValueError(f"checkpoint {path} parameter names do not match config: "
+                         f"no {name!r}")
+    if arrays[name].shape != shape:
+        raise ValueError(f"checkpoint {path}: {name} has shape {arrays[name].shape}, "
+                         f"expected {shape}")
+    return arrays[name]
 
 
 def _tensor_entry(path, entry) -> tuple[str, tuple[int, ...]]:

@@ -5,6 +5,7 @@ examples into padded length buckets."""
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -130,13 +131,31 @@ def read_jsonl(path, fields: dict[str, str], optional: tuple[str, ...] = (),
     return rows
 
 
+def read_json(path):
+    """The JSON document of a UTF-8 file; errors are SchemaErrors naming path:line."""
+    try:
+        return json.loads("\n".join(line for _, line in read_lines(path, SchemaError)))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}:{exc.lineno}: bad JSON: {exc.msg} "
+                          f"at column {exc.colno}") from None
+
+
+def write_json(path, doc) -> None:
+    """doc as JSON (sorted keys, indent 2, a trailing newline), written to
+    path.tmp and moved onto path: path holds the old document or the new."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def load_squad(path) -> list[SquadRecord]:
     """Parse a SQuAD v1.1 JSON file into one record per question."""
-    text = "\n".join(line for _, line in read_lines(path, SchemaError))
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
+    doc = read_json(path)
     records: list[SquadRecord] = []
     articles = _require(doc, "data", "$", LIST)
     for ai, article in enumerate(articles):

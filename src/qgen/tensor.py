@@ -56,10 +56,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
@@ -229,10 +225,7 @@ def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim < 2:
         raise ShapeError(f"transpose needs >=2-d input, got {a.shape}")
-    out = _result(np.swapaxes(a.data, -1, -2), (a,))
-    if out.requires_grad:
-        out._backward = lambda g: (np.swapaxes(g, -1, -2),)
-    return out
+    return swap_axes(a, -1, -2)
 
 
 def swap_axes(a, ax1: int, ax2: int) -> Tensor:
@@ -260,15 +253,6 @@ def relu(a) -> Tensor:
     return out
 
 
-def tsum(a) -> Tensor:
-    """Sum all entries to a scalar."""
-    a = _as_tensor(a)
-    out = _result(np.asarray(a.data.sum()), (a,))
-    if out.requires_grad:
-        out._backward = lambda g: (np.broadcast_to(g, a.shape).copy(),)
-    return out
-
-
 def softmax_rows(a) -> Tensor:
     """Softmax over the last axis, computed with max-subtraction.
 
@@ -293,6 +277,16 @@ def _softmax(x: np.ndarray, what: str) -> np.ndarray:
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     return y
+
+
+def log_softmax(rows: np.ndarray, what: str) -> np.ndarray:
+    """Log-softmax over the last axis, into a new array. A row whose maximum
+    is not finite raises ValueError naming what ("decoder logits")."""
+    top = rows.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError(f"{what} contain NaN or infinity")
+    shifted = rows - top
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -400,8 +394,8 @@ def cross_entropy_with_logits(
 ) -> Tensor:
     """Mean cross-entropy between logits (..., V) and integer targets (...).
 
-    Positions equal to pad_id are excluded from the mean. Raises if every
-    position is padding.
+    Positions equal to pad_id are excluded from the mean. Raises ValueError
+    if every position is padding or a row's maximum is not finite.
     """
     targets = np.asarray(targets)
     if logits.shape[:-1] != tuple(targets.shape):
@@ -417,9 +411,7 @@ def cross_entropy_with_logits(
     count = int(valid.sum())
     if count == 0:
         raise ValueError("cross entropy: all target positions are padding")
-    shifted = flat - flat.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    logp = shifted - lse[:, None]
+    logp = log_softmax(flat, "cross entropy: logits")
     idx = np.where(valid, tgt, 0)
     picked = logp[np.arange(len(tgt)), idx]
     if label_smoothing > 0.0:

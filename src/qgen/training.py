@@ -11,8 +11,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import ModelConfig, TransformerModel, read_container, write_container
-from .squad import Bucket
+from .model import (ModelConfig, TransformerModel, read_container, stored_array,
+                    write_container)
+from .squad import Bucket, read_json, write_json
 from .tensor import ShapeError, backward, cross_entropy_with_logits, no_grad
 
 ADAM_BETA1 = 0.9
@@ -94,11 +95,17 @@ class TrainState:
     def load(cls, path, model: TransformerModel) -> "TrainState":
         meta, arrays = read_container(path)
         state = cls(model, seed=0)
-        state.step = int(meta["step"])
-        state.rng.bit_generator.state = meta["rng_state"]
+        state.step = meta.get("step")
+        if type(state.step) is not int or state.step < 0:
+            raise ValueError(f"{path}: step must be a non-negative integer, "
+                             f"got {state.step!r}")
+        try:
+            state.rng.bit_generator.state = meta.get("rng_state")
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise ValueError(f"{path}: the generator refuses rng_state: {exc!r}") from None
         for p in model.parameters():
-            state.m[p.name] = arrays[f"m:{p.name}"]
-            state.v[p.name] = arrays[f"v:{p.name}"]
+            state.m[p.name] = stored_array(arrays, f"m:{p.name}", p.shape, path)
+            state.v[p.name] = stored_array(arrays, f"v:{p.name}", p.shape, path)
         return state
 
 
@@ -117,17 +124,30 @@ def clip_gradients(model: TransformerModel, max_norm: float) -> float:
 
 def adam_step(model: TransformerModel, state: TrainState, lr: float,
               weight_decay: float = 0.0) -> None:
+    """m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, then p -= lr ((m / bc1) /
+    (sqrt(v / bc2) + eps) + weight_decay p): in place, in this order."""
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for p in model.parameters():
-        g = p.grad
-        m = state.m[p.name] = ADAM_BETA1 * state.m[p.name] + (1 - ADAM_BETA1) * g
-        v = state.v[p.name] = ADAM_BETA2 * state.v[p.name] + (1 - ADAM_BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        g, m, v = p.grad, state.m[p.name], state.v[p.name]
+        scratch = np.multiply(g, 1 - ADAM_BETA1)
+        m *= ADAM_BETA1
+        m += scratch
+        np.multiply(g, 1 - ADAM_BETA2, out=scratch)
+        scratch *= g
+        v *= ADAM_BETA2
+        v += scratch
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        update = m / bc1
+        update /= scratch
         if weight_decay > 0.0:
-            update = update + weight_decay * p.data
-        p.data = p.data - lr * update
+            np.multiply(p.data, weight_decay, out=scratch)
+            update += scratch
+        update *= lr
+        p.data -= update
 
 
 def train_step(model: TransformerModel, batch, state: TrainState,
@@ -155,10 +175,8 @@ def train_step(model: TransformerModel, batch, state: TrainState,
     inputs, targets, bucket_label = batch
     lr = learning_rate(state.step + 1, config)
     pad_id = model.config.pad_id
-    enc_rng = dec_rng = None
-    if model.config.dropout > 0:
-        enc_rng = _BucketDraws(state.rng, inputs.shape[1])
-        dec_rng = _BucketDraws(state.rng, targets.shape[1] - 1)
+    enc_rng = _BucketDraws(state.rng, inputs.shape[1])
+    dec_rng = _BucketDraws(state.rng, targets.shape[1] - 1)
     inputs, targets = _trim(inputs, pad_id), _trim(targets, pad_id)
     params = model.parameters()
     masters = [p.data for p in params]
@@ -218,15 +236,8 @@ def save_checkpoint(directory, model: TransformerModel, state: TrainState,
                     config: TrainConfig) -> None:
     """config.json + model.bin + state.bin, each written atomically."""
     os.makedirs(directory, exist_ok=True)
-    cfg_path = os.path.join(directory, "config.json")
-    tmp = cfg_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"model": asdict(model.config), "train": asdict(config)},
-            fh, sort_keys=True, indent=2,
-        )
-        fh.write("\n")
-    os.replace(tmp, cfg_path)
+    write_json(os.path.join(directory, "config.json"),
+               {"model": asdict(model.config), "train": asdict(config)})
     model.save(os.path.join(directory, "model.bin"))
     state.save(os.path.join(directory, "state.bin"))
 
@@ -234,8 +245,7 @@ def save_checkpoint(directory, model: TransformerModel, state: TrainState,
 def load_checkpoint(directory) -> tuple[TransformerModel, TrainState, TrainConfig]:
     model = TransformerModel.load(os.path.join(directory, "model.bin"))
     state = TrainState.load(os.path.join(directory, "state.bin"), model)
-    with open(os.path.join(directory, "config.json"), encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(os.path.join(directory, "config.json"))
     return model, state, TrainConfig(**cfg["train"])
 
 

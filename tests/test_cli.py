@@ -303,6 +303,51 @@ class TestEvaluateErrors:
         with pytest.raises(SchemaError, match="bogus.key"):
             load_config(str(cfg_file), [])
 
+    @pytest.mark.parametrize("value,shown", [
+        (None, "null"), (["v.txt"], '["v.txt"]'), ({"v": 1}, '{"v": 1}'),
+    ])
+    def test_config_value_of_no_key_type_exits_2(self, tmp_path, capsys, value, shown):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"seed": 1, "paths.out_dir": value}),
+                            encoding="utf-8")
+        assert main(["train", "--config", str(cfg_file)]) == EXIT_INPUT
+        assert (f"error: config key 'paths.out_dir' in {cfg_file} must be a string, "
+                f"a number or a boolean, got {shown}") in capsys.readouterr().err
+
+    def test_config_numbers_and_strings_still_parse(self, tmp_path):
+        from qgen.cli import load_config
+
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"seed": "5", "train.base_lr": 2,
+                                        "paths.vocab": 7,
+                                        "model.share_embeddings": False}),
+                            encoding="utf-8")
+        cfg = load_config(str(cfg_file), [])
+        assert (cfg["seed"], cfg["train.base_lr"], cfg["paths.vocab"]) == (5, 2.0, "7")
+        assert cfg["model.share_embeddings"] is False
+
+    def test_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch,
+                                                           capsys):
+        from qgen import squad
+
+        refs = write_jsonl(tmp_path / "refs.jsonl", [{"id": "a", "question": "who?"}])
+        hyps = write_jsonl(tmp_path / "hyps.jsonl", [{"id": "a", "question": "who?"}])
+        out = tmp_path / "out"
+        argv = ["evaluate", "--paths.out_dir", str(out), str(refs), str(hyps)]
+        assert main(argv) == EXIT_OK
+        before = (out / "report.json").read_bytes()
+        write_jsonl(hyps, [{"id": "a", "question": "what?"}])
+
+        def refuse(src, dst):
+            raise OSError(f"cannot move {src}")
+
+        monkeypatch.setattr(squad.os, "replace", refuse)
+        assert main(argv) == EXIT_IO
+        assert "cannot move" in capsys.readouterr().err
+        assert (out / "report.json").read_bytes() == before
+        assert sorted(f.name for f in out.iterdir()) == [
+            "report.csv", "report.json", "report.txt"]
+
 
 class TestExitCodeMapping:
     def test_numerical_failure_exits_4(self, monkeypatch, tmp_path, capsys):

@@ -160,8 +160,8 @@ class TestMultiHead:
         rng = np.random.default_rng(7)
         params = MultiHeadParams(d, 2, ParameterMaker(rng), "t")
         x_q = Tensor(rng.normal(size=(3, d)))
-        x_kv = Tensor(rng.normal(size=(5, d)))
-        out = multi_head(x_q, params, x_kv=x_kv)
+        memory = Tensor(rng.normal(size=(5, d)))
+        out = multi_head(x_q, params, kv=params.keys_values(memory))
         assert out.shape == (3, d)
 
     def test_batched_equals_per_sequence(self):

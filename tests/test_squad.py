@@ -18,9 +18,11 @@ from qgen.squad import (
     invert,
     load_examples,
     load_squad,
+    read_json,
     read_jsonl,
     save_examples,
     select_answer,
+    write_json,
 )
 from qgen.wordpiece import TokenSequence
 from qgen.preprocess import PreprocessError, postprocess_question, preprocess_pair
@@ -76,7 +78,7 @@ class TestLoadSquad:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(SchemaError, match="malformed"):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:1: bad JSON")):
             load_squad(path)
 
     def test_passages_shared_by_reference(self, records):
@@ -307,3 +309,20 @@ class TestReadJsonl:
         path.write_text('{"id": "ok", "ids": [1]}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=re.escape(f"{path}:2: {message}")):
             read_jsonl(path, {"id": ID, "ids": IDS, "q": TEXT}, optional=("q",))
+
+
+class TestJsonDocuments:
+    DOC = {"b": [1, 2.5, None], "a": {"z": "café", "y": True}, "c": []}
+
+    def test_write_json_bytes_equal_an_indented_sorted_dump(self, tmp_path):
+        want = tmp_path / "want.json"
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(self.DOC, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        write_json(tmp_path / "got.json", self.DOC)
+        assert (tmp_path / "got.json").read_bytes() == want.read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["got.json", "want.json"]
+
+    def test_read_json_reads_what_write_json_wrote(self, tmp_path):
+        write_json(tmp_path / "doc.json", self.DOC)
+        assert read_json(tmp_path / "doc.json") == self.DOC

@@ -24,8 +24,13 @@ from qgen.tensor import (
     softmax_rows,
     swap_axes,
     transpose,
-    tsum,
 )
+
+
+def total(t):
+    """The sum of t's entries as a scalar node, built from reshape and matmul."""
+    ones = Tensor(np.ones((t.data.size, 1), t.data.dtype))
+    return reshape(matmul(reshape(t, (1, -1)), ones), ())
 
 
 def naive_matmul(a, b):
@@ -111,12 +116,12 @@ class TestSoftmaxRows:
 class TestBackward:
     def test_sum_gives_ones(self):
         p = Parameter(np.arange(6.0).reshape(2, 3), "p")
-        backward(tsum(p))
+        backward(total(p))
         np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
 
     def test_quadratic_gives_value(self):
         p = Parameter(np.array([1.0, -2.0, 3.0]), "p")
-        backward(mul(0.5, tsum(mul(p, p))))
+        backward(mul(0.5, total(mul(p, p))))
         np.testing.assert_allclose(p.grad, p.data)
 
     def test_two_layer_composition_matches_finite_differences(self):
@@ -127,7 +132,7 @@ class TestBackward:
         weights = Tensor(rng.normal(size=(2, 3)))
 
         def f():
-            return tsum(mul(softmax_rows(matmul(relu(matmul(x, w1)), w2)), weights))
+            return total(mul(softmax_rows(matmul(relu(matmul(x, w1)), w2)), weights))
 
         assert check_gradients(f, w1, step=1e-5) < 1e-4
         assert check_gradients(f, w2, step=1e-5) < 1e-4
@@ -139,13 +144,13 @@ class TestBackward:
 
     def test_reused_operand_accumulates(self):
         p = Parameter(np.array([3.0]), "p")
-        backward(tsum(mul(p, p)))
+        backward(total(mul(p, p)))
         np.testing.assert_allclose(p.grad, [6.0])
 
     def test_gradients_accumulate_across_passes(self):
         p = Parameter(np.ones(2), "p")
-        backward(tsum(p))
-        backward(tsum(p))
+        backward(total(p))
+        backward(total(p))
         np.testing.assert_array_equal(p.grad, [2.0, 2.0])
         p.zero_grad()
         np.testing.assert_array_equal(p.grad, [0.0, 0.0])
@@ -154,7 +159,7 @@ class TestBackward:
 class TestCheckGradients:
     def test_linear_is_exact(self):
         p = Parameter(np.array([1.0, 2.0, 3.0]), "p")
-        err = check_gradients(lambda: tsum(mul(p, 4.0)), p)
+        err = check_gradients(lambda: total(mul(p, 4.0)), p)
         assert err < 1e-10
 
     def test_softmax_of_matmul(self):
@@ -162,27 +167,27 @@ class TestCheckGradients:
         p = Parameter(rng.normal(size=(3, 4)), "p")
         x = Tensor(rng.normal(size=(2, 3)))
         weights = Tensor(rng.normal(size=(2, 4)))
-        err = check_gradients(lambda: tsum(mul(softmax_rows(matmul(x, p)), weights)), p)
+        err = check_gradients(lambda: total(mul(softmax_rows(matmul(x, p)), weights)), p)
         assert err < 1e-4
 
     def test_zero_step_rejected(self):
         p = Parameter(np.ones(2), "p")
         with pytest.raises(ValueError, match="positive"):
-            check_gradients(lambda: tsum(p), p, step=0.0)
+            check_gradients(lambda: total(p), p, step=0.0)
 
     def test_nondeterministic_function_rejected(self):
         p = Parameter(np.ones(2), "p")
         rng = np.random.default_rng(6)
 
         def f():
-            return tsum(mul(p, rng.normal()))
+            return total(mul(p, rng.normal()))
 
         with pytest.raises(ValueError, match="deterministic"):
             check_gradients(f, p)
 
 
 def _embedding_case(p):
-    return tsum(embedding(p, np.array([[0, 2], [1, 1]])))
+    return total(embedding(p, np.array([[0, 2], [1, 1]])))
 
 
 def _cross_entropy_case(p):
@@ -202,24 +207,24 @@ def _layer_norm_case(p):
     gain = Parameter(np.ones(p.shape[-1]), "g")
     bias = Parameter(np.zeros(p.shape[-1]), "b")
     weights = Tensor(np.arange(1.0, 1.0 + p.data.size).reshape(p.shape))
-    return tsum(mul(layer_norm(p, gain, bias), weights))
+    return total(mul(layer_norm(p, gain, bias), weights))
 
 
 PRIMITIVE_CASES = [
-    ("add_broadcast", (3, 4), lambda p: tsum(add(p, Tensor(np.arange(4.0))))),
-    ("mul_broadcast", (3, 4), lambda p: tsum(mul(p, Tensor(np.arange(1.0, 5.0))))),
-    ("matmul", (4, 5), lambda p: tsum(matmul(Tensor(np.ones((3, 4))), p))),
-    ("transpose", (3, 5), lambda p: tsum(matmul(transpose(p), Tensor(np.ones((3, 2)))))),
-    ("swap_axes", (2, 3, 4), lambda p: tsum(mul(swap_axes(p, 0, 1), 2.0))),
-    ("reshape", (2, 6), lambda p: tsum(matmul(reshape(p, (3, 4)), Tensor(np.ones((4, 2)))))),
-    ("relu", (4, 4), lambda p: tsum(relu(p))),
-    ("softmax_rows", (3, 6), lambda p: tsum(mul(softmax_rows(p), Tensor(np.arange(6.0))))),
+    ("add_broadcast", (3, 4), lambda p: total(add(p, Tensor(np.arange(4.0))))),
+    ("mul_broadcast", (3, 4), lambda p: total(mul(p, Tensor(np.arange(1.0, 5.0))))),
+    ("matmul", (4, 5), lambda p: total(matmul(Tensor(np.ones((3, 4))), p))),
+    ("transpose", (3, 5), lambda p: total(matmul(transpose(p), Tensor(np.ones((3, 2)))))),
+    ("swap_axes", (2, 3, 4), lambda p: total(mul(swap_axes(p, 0, 1), 2.0))),
+    ("reshape", (2, 6), lambda p: total(matmul(reshape(p, (3, 4)), Tensor(np.ones((4, 2)))))),
+    ("relu", (4, 4), lambda p: total(relu(p))),
+    ("softmax_rows", (3, 6), lambda p: total(mul(softmax_rows(p), Tensor(np.arange(6.0))))),
     ("layer_norm", (4, 8), _layer_norm_case),
     ("embedding", (5, 3), _embedding_case),
     ("cross_entropy", (3, 7), _cross_entropy_case),
     ("cross_entropy_pad", (3, 7), _cross_entropy_pad_case),
     ("cross_entropy_smoothed_pad", (2, 3, 7), _cross_entropy_smoothed_pad_case),
-    ("concat_last", (3, 4), lambda p: tsum(concat_last([p, Tensor(np.ones((3, 2)))]))),
+    ("concat_last", (3, 4), lambda p: total(concat_last([p, Tensor(np.ones((3, 2)))]))),
 ]
 
 
@@ -266,7 +271,7 @@ class TestEmbedding:
 
     def test_repeated_ids_accumulate_gradient(self):
         table = Parameter(np.zeros((3, 2)), "e")
-        backward(tsum(embedding(table, np.array([1, 1, 1]))))
+        backward(total(embedding(table, np.array([1, 1, 1]))))
         np.testing.assert_array_equal(table.grad, [[0, 0], [3, 3], [0, 0]])
 
 
@@ -280,6 +285,16 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="padding"):
             cross_entropy_with_logits(Tensor(np.zeros((2, 3))),
                                       np.array([0, 0]), pad_id=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "-inf row"])
+    def test_row_without_a_finite_maximum_rejected(self, bad):
+        logits = np.zeros((2, 3))
+        if bad == "-inf row":
+            logits[1] = -np.inf
+        else:
+            logits[1, 2] = bad
+        with pytest.raises(ValueError, match="cross entropy: logits contain NaN"):
+            cross_entropy_with_logits(Tensor(logits), np.array([0, 1]))
 
     def test_pad_positions_excluded(self):
         logits = np.zeros((2, 3))
@@ -335,7 +350,7 @@ class TestRandomizedShapeGradients:
 
         def f():
             h = layer_norm(matmul(p, right), gain, bias)
-            return tsum(mul(softmax_rows(relu(h)), weights))
+            return total(mul(softmax_rows(relu(h)), weights))
 
         for target in (p, gain, bias):
             assert check_gradients(f, target, step=1e-5) < 1e-4
@@ -388,7 +403,7 @@ class TestFusedAttention:
         mask = make_mask(rng)
 
         def f():
-            return tsum(mul(attention(q, k, v, mask), weights))
+            return total(mul(attention(q, k, v, mask), weights))
 
         for p in (q, k, v):
             assert check_gradients(f, p, step=1e-5) < 1e-4, p.name
@@ -403,7 +418,7 @@ class TestFusedAttention:
             for p in (q, k, v):
                 p.zero_grad()
             out = op(q, k, v, mask)
-            backward(tsum(mul(out, weights)))
+            backward(total(mul(out, weights)))
             results.append([out.data, q.grad, k.grad, v.grad])
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -448,7 +463,7 @@ class TestMatmulWeightGradient:
         a = Tensor(rng.normal(size=(*lead, 4, 5)))
         w = Parameter(rng.normal(size=(5, 6)), "w")
         g = rng.normal(size=(*lead, 4, 6))
-        backward(tsum(mul(matmul(a, w), Tensor(g))))
+        backward(total(mul(matmul(a, w), Tensor(g))))
         want = np.zeros((5, 6))
         for i in np.ndindex(*lead):
             want += a.data[i].T @ g[i]
@@ -465,7 +480,7 @@ class TestGradientLifetime:
         y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Parameter(rng.normal(size=(4, 2)), "w")
         hidden = add(x, y)
-        loss = tsum(relu(matmul(reshape(transpose(transpose(hidden)), (3, 4)), w)))
+        loss = total(relu(matmul(reshape(transpose(transpose(hidden)), (3, 4)), w)))
         return x, y, w, loss
 
     @staticmethod
@@ -494,6 +509,6 @@ class TestGradientLifetime:
         x, y, w, loss = self._graph()
         backward(loss)
         intermediates = [n for n in self._nodes(loss) if n._parents and n is not loss]
-        assert len(intermediates) == 6
+        assert len(intermediates) == 8  # six ops, and total's matmul and reshape
         assert all(n.grad is None for n in intermediates)
         assert loss.grad is not None

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -182,6 +183,35 @@ class TestOptimizer:
         for p, (w, g) in zip(model.parameters(), before):
             expected = w - 0.01 * (g / (np.abs(g) + 1e-9) + 0.01 * w)
             np.testing.assert_allclose(p.data, expected, rtol=1e-12, atol=1e-15)
+
+    def test_step_equals_the_textbook_formula_bit_for_bit(self):
+        """adam_step updates in place; every value is the one the out-of-place
+        formula gives, in float64, with weight decay and moments from earlier
+        steps."""
+        model = tiny_model()
+        state = TrainState(model, seed=0)
+        state.step = 3
+        rng = np.random.default_rng(21)
+        want = {}
+        t, lr, wd = 4, 3e-3, 0.01
+        bc1, bc2 = 1.0 - training.ADAM_BETA1 ** t, 1.0 - training.ADAM_BETA2 ** t
+        for p in model.parameters():
+            p.grad = rng.normal(size=p.shape)
+            state.m[p.name] = rng.normal(scale=0.1, size=p.shape)
+            state.v[p.name] = rng.random(p.shape) * 0.01
+            g = p.grad
+            m = training.ADAM_BETA1 * state.m[p.name] + (1 - training.ADAM_BETA1) * g
+            v = (training.ADAM_BETA2 * state.v[p.name]
+                 + (1 - training.ADAM_BETA2) * g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + training.ADAM_EPS) + wd * p.data
+            want[p.name] = (m, v, p.data - lr * update)
+        adam_step(model, state, lr, weight_decay=wd)
+        for p in model.parameters():
+            m, v, data = want[p.name]
+            for got, expected in ((state.m[p.name], m), (state.v[p.name], v),
+                                  (p.data, data)):
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, expected, strict=True)
 
     def test_clip_bounds_global_norm(self):
         model = tiny_model()
@@ -530,6 +560,51 @@ class TestCheckpoint:
         loaded = TrainState.load(tmp_path / "state.bin", model)
         assert loaded.step == 5
         assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
+
+    @staticmethod
+    def _state_file(path, model, step=5, rng_state=None, drop=(), reshape=()):
+        """A state.bin for model, less the arrays named in drop, with those in
+        reshape stored at shape (1,)."""
+        state = TrainState(model, seed=3)
+        tensors = [(f"m:{k}", a) for k, a in state.m.items()]
+        tensors += [(f"v:{k}", a) for k, a in state.v.items()]
+        tensors = [(n, np.zeros(1) if n in reshape else a)
+                   for n, a in tensors if n not in drop]
+        if rng_state is None:
+            rng_state = state.rng.bit_generator.state
+        write_container(path, {"step": step, "rng_state": rng_state}, tensors)
+        return path
+
+    def test_state_without_a_moment_names_the_file(self, tmp_path):
+        model = tiny_model(seed=7)
+        path = self._state_file(tmp_path / "state.bin", model, drop=("m:embed",))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*'m:embed'"):
+            TrainState.load(path, model)
+
+    def test_state_moment_of_the_wrong_shape_names_the_file(self, tmp_path):
+        model = tiny_model(seed=7)
+        path = self._state_file(tmp_path / "state.bin", model, reshape=("v:embed",))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: v:embed has shape (1,), expected (12, 8)")):
+            TrainState.load(path, model)
+
+    @pytest.mark.parametrize("step", ["x", -1, 2.0, True, None])
+    def test_state_step_not_a_count_names_the_file(self, tmp_path, step):
+        model = tiny_model(seed=7)
+        path = self._state_file(tmp_path / "state.bin", model, step=step)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: step must be a non-negative integer, got {step!r}")):
+            TrainState.load(path, model)
+
+    @pytest.mark.parametrize("rng_state", [
+        "x", {"bit_generator": "MT19937"}, {"bit_generator": "PCG64"},
+    ])
+    def test_state_rng_the_generator_refuses_names_the_file(self, tmp_path, rng_state):
+        model = tiny_model(seed=7)
+        path = self._state_file(tmp_path / "state.bin", model, rng_state=rng_state)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: the generator refuses rng_state")):
+            TrainState.load(path, model)
 
     def test_accuracy_helper_bounded(self):
         model = tiny_model(seed=8)
