@@ -102,6 +102,9 @@ def load_config(config_path: str | None, overrides: list[tuple[str, str]]) -> di
             if not isinstance(value, (str, int, float)):  # null, a list, an object
                 raise SchemaError(f"config key {key!r} in {config_path} must be a string, "
                                   f"a number or a boolean, got {json.dumps(value)}")
+            if isinstance(value, bool) and not isinstance(DEFAULTS[key], bool):
+                raise SchemaError(f"config key {key!r} in {config_path} is not a "
+                                  f"boolean key, got {json.dumps(value)}")
             cfg[key] = _parse_value(key, str(value))
     for key, raw in overrides:
         cfg[key] = _parse_value(key, raw)

@@ -473,8 +473,8 @@ def write_container(path, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> 
         fh.write(np.uint32(_CONTAINER_VERSION).tobytes())
         fh.write(np.uint32(len(blob)).tobytes())
         fh.write(blob)
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for _, arr in tensors:  # from the array's own buffer when it is one
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
     os.replace(tmp, path)
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import shutil
 import time
 from dataclasses import asdict, dataclass
 
@@ -93,19 +95,20 @@ class TrainState:
 
     @classmethod
     def load(cls, path, model: TransformerModel) -> "TrainState":
+        """The state stored at path; its moments are the very arrays read."""
         meta, arrays = read_container(path)
-        state = cls(model, seed=0)
+        state = cls.__new__(cls)
         state.step = meta.get("step")
         if type(state.step) is not int or state.step < 0:
             raise ValueError(f"{path}: step must be a non-negative integer, "
                              f"got {state.step!r}")
+        state.rng = np.random.default_rng(0)
         try:
             state.rng.bit_generator.state = meta.get("rng_state")
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ValueError(f"{path}: the generator refuses rng_state: {exc!r}") from None
-        for p in model.parameters():
-            state.m[p.name] = stored_array(arrays, f"m:{p.name}", p.shape, path)
-            state.v[p.name] = stored_array(arrays, f"v:{p.name}", p.shape, path)
+        state.m, state.v = ({p.name: stored_array(arrays, f"{kind}:{p.name}", p.shape, path)
+                             for p in model.parameters()} for kind in "mv")
         return state
 
 
@@ -234,12 +237,36 @@ class _BucketDraws:
 
 def save_checkpoint(directory, model: TransformerModel, state: TrainState,
                     config: TrainConfig) -> None:
-    """config.json + model.bin + state.bin, each written atomically."""
-    os.makedirs(directory, exist_ok=True)
-    write_json(os.path.join(directory, "config.json"),
+    """Publish config.json, model.bin and state.bin at directory as one unit.
+
+    The three are written into a fresh sibling <name>-<step>-<8 hex digits>,
+    and a relative symlink <name>.new to it is renamed over <name>, so <name>
+    holds the files of one save, old or new, wherever a kill lands. Then
+    every other <name>-<step>-<hex> sibling is removed (the one linked before,
+    and any a killed save left). A real <name> directory from an older run is
+    moved aside once, the only step that is not atomic. Nothing is fsynced.
+    """
+    parent, name = os.path.split(os.path.abspath(directory))
+    tag = f"{name}-{state.step}-"
+    os.makedirs(parent, exist_ok=True)
+    target = tag + os.urandom(4).hex()
+    fresh = os.path.join(parent, target)
+    os.mkdir(fresh)
+    write_json(os.path.join(fresh, "config.json"),
                {"model": asdict(model.config), "train": asdict(config)})
-    model.save(os.path.join(directory, "model.bin"))
-    state.save(os.path.join(directory, "state.bin"))
+    model.save(os.path.join(fresh, "model.bin"))
+    state.save(os.path.join(fresh, "state.bin"))
+    link = os.path.join(parent, name)
+    if os.path.isdir(link) and not os.path.islink(link):
+        os.rename(link, os.path.join(parent, tag + os.urandom(4).hex()))
+    if os.path.lexists(link + ".new"):
+        os.remove(link + ".new")
+    os.symlink(target, link + ".new")
+    os.replace(link + ".new", link)
+    stale = re.compile(re.escape(name) + r"-\d+-[0-9a-f]{8}")
+    for entry in os.listdir(parent):
+        if stale.fullmatch(entry) and entry != target:
+            shutil.rmtree(os.path.join(parent, entry))
 
 
 def load_checkpoint(directory) -> tuple[TransformerModel, TrainState, TrainConfig]:

@@ -314,6 +314,17 @@ class TestEvaluateErrors:
         assert (f"error: config key 'paths.out_dir' in {cfg_file} must be a string, "
                 f"a number or a boolean, got {shown}") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("paths.out_dir", True), ("paths.vocab", False), ("train.total_steps", True),
+    ])
+    def test_config_boolean_for_a_key_that_is_not_boolean_exits_2(
+            self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert main(["train", "--config", str(cfg_file)]) == EXIT_INPUT
+        assert (f"error: config key '{key}' in {cfg_file} is not a boolean key, "
+                f"got {json.dumps(value)}") in capsys.readouterr().err
+
     def test_config_numbers_and_strings_still_parse(self, tmp_path):
         from qgen.cli import load_config
 

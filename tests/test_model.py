@@ -479,6 +479,30 @@ class TestCheckpoint:
         np.testing.assert_array_equal(arrays["a"], tensors[0][1])
         np.testing.assert_array_equal(arrays["b"], tensors[1][1])
 
+    def test_container_bytes_are_the_tobytes_layout(self, tmp_path):
+        """Each array is stored as np.ascontiguousarray(a, "<f8").tobytes(),
+        whatever its order, dtype or strides."""
+        base = np.random.default_rng(3).normal(size=(4, 6))
+        tensors = [
+            ("c_order", base),
+            ("fortran", np.asfortranarray(base)),
+            ("float32", base.astype(np.float32)),
+            ("strided", base[:, ::2]),
+            ("big_endian", base.astype(">f8")),
+            ("scalar", np.float64(2.5)),
+            ("empty", np.zeros((0, 3))),
+        ]
+        meta = {"kind": "test"}
+        path = tmp_path / "c.bin"
+        write_container(path, meta, tensors)
+        header = {"meta": meta,
+                  "tensors": [{"name": n, "shape": list(np.shape(a))} for n, a in tensors]}
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        expected = (b"QGTC" + np.uint32(1).tobytes() + np.uint32(len(blob)).tobytes()
+                    + blob + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                                      for _, a in tensors))
+        assert path.read_bytes() == expected
+
     def test_truncated_container_names_the_tensor(self, tmp_path):
         path = tmp_path / "m.bin"
         model = TransformerModel(small_config(), seed=9)

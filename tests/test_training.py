@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -606,7 +607,135 @@ class TestCheckpoint:
                 f"{path}: the generator refuses rng_state")):
             TrainState.load(path, model)
 
+    def test_loaded_moments_are_the_arrays_read(self, tmp_path, monkeypatch):
+        model = tiny_model(seed=7)
+        path = self._state_file(tmp_path / "state.bin", model)
+        read, real_read = [], training.read_container
+
+        def recording_read(p):
+            read.append(real_read(p))
+            return read[-1]
+
+        def no_fresh_state(*args):
+            raise AssertionError("load built a zeroed state first")
+
+        monkeypatch.setattr(training, "read_container", recording_read)
+        monkeypatch.setattr(TrainState, "__init__", no_fresh_state)
+        state = TrainState.load(path, model)
+        (_, arrays), = read
+        for p in model.parameters():
+            assert state.m[p.name] is arrays[f"m:{p.name}"]
+            assert state.v[p.name] is arrays[f"v:{p.name}"]
+
     def test_accuracy_helper_bounded(self):
         model = tiny_model(seed=8)
         acc = teacher_forced_accuracy(model, [tiny_bucket()])
         assert 0.0 <= acc <= 1.0
+
+
+def checkpoint_siblings(parent):
+    """The names under parent that a checkpoint save makes."""
+    return sorted(e for e in os.listdir(parent) if e.startswith("checkpoint"))
+
+
+class TestCheckpointSwap:
+    """save_checkpoint publishes each checkpoint as one directory behind a
+    symlink: readers of out/checkpoint see one whole save or the one before."""
+
+    cfg = TrainConfig(total_steps=4, base_lr=1e-3, warmup_steps=2, batch_size=2)
+
+    def stepped(self, model, state):
+        train_step(model, batch_from(tiny_bucket(2)), state, self.cfg)
+
+    @staticmethod
+    def snapshot(model, state):
+        return ([p.data.copy() for p in model.parameters()],
+                {k: a.copy() for k, a in state.m.items()},
+                {k: a.copy() for k, a in state.v.items()})
+
+    @staticmethod
+    def assert_holds(ckpt, snap, step):
+        model, state, _ = load_checkpoint(ckpt)
+        params, m, v = snap
+        assert state.step == step
+        for p, want in zip(model.parameters(), params, strict=True):
+            np.testing.assert_array_equal(p.data, want)
+        for k in m:
+            np.testing.assert_array_equal(state.m[k], m[k])
+            np.testing.assert_array_equal(state.v[k], v[k])
+
+    def test_checkpoint_is_a_relative_link_to_a_directory_of_its_step(self, tmp_path):
+        model = tiny_model(seed=7)
+        state = TrainState(model, seed=0)
+        self.stepped(model, state)
+        ckpt = tmp_path / "out" / "checkpoint"
+        save_checkpoint(ckpt, model, state, self.cfg)
+        target = os.readlink(ckpt)
+        assert re.fullmatch(r"checkpoint-1-[0-9a-f]{8}", target)
+        assert sorted(os.listdir(ckpt)) == ["config.json", "model.bin", "state.bin"]
+        assert checkpoint_siblings(tmp_path / "out") == ["checkpoint", target]
+
+    @pytest.mark.parametrize("fault", ["link_replace", "state_save"])
+    def test_a_failed_save_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch,
+                                                          fault):
+        model = tiny_model(seed=7)
+        state = TrainState(model, seed=0)
+        ckpt = tmp_path / "out" / "checkpoint"
+        self.stepped(model, state)
+        save_checkpoint(ckpt, model, state, self.cfg)
+        first = self.snapshot(model, state)
+        self.stepped(model, state)
+
+        class Refused(OSError):
+            pass
+
+        if fault == "link_replace":
+            real_replace = os.replace
+
+            def refusing_replace(src, dst):
+                if str(src).endswith("checkpoint.new"):
+                    raise Refused
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", refusing_replace)
+        else:
+            def refusing_save(self, path):
+                raise Refused
+
+            monkeypatch.setattr(TrainState, "save", refusing_save)
+        with pytest.raises(Refused):
+            save_checkpoint(ckpt, model, state, self.cfg)
+        monkeypatch.undo()
+        self.assert_holds(ckpt, first, step=1)
+
+        save_checkpoint(ckpt, model, state, self.cfg)
+        self.assert_holds(ckpt, self.snapshot(model, state), step=2)
+        assert checkpoint_siblings(tmp_path / "out") == ["checkpoint", os.readlink(ckpt)]
+
+    def test_two_fresh_runs_into_one_out_dir(self, tmp_path):
+        cfg = TrainConfig(total_steps=3, warmup_steps=1, batch_size=2,
+                          checkpoint_interval=1, seed=2)
+        for _ in range(2):
+            model = tiny_model(seed=4)
+            state, ckpt = train(model, [tiny_bucket()], cfg, tmp_path / "run")
+            self.assert_holds(ckpt, self.snapshot(model, state), step=3)
+            assert checkpoint_siblings(tmp_path / "run") == [
+                "checkpoint", os.readlink(ckpt)]
+
+    def test_a_real_checkpoint_directory_is_moved_aside_once(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "checkpoint").mkdir(parents=True)
+        (out / "checkpoint" / "model.bin").write_bytes(b"from an older run")
+        keep = [out / "checkpoint-best", out / "checkpoint-1-keep", out / "notes.txt"]
+        keep[0].mkdir()
+        keep[1].mkdir()
+        keep[2].write_text("mine")
+        cfg = TrainConfig(total_steps=2, warmup_steps=1, batch_size=2,
+                          checkpoint_interval=1)
+        model = tiny_model(seed=4)
+        state, ckpt = train(model, [tiny_bucket()], cfg, out)
+        assert os.path.islink(ckpt)
+        self.assert_holds(ckpt, self.snapshot(model, state), step=2)
+        assert checkpoint_siblings(out) == sorted(
+            ["checkpoint", os.readlink(ckpt), "checkpoint-best", "checkpoint-1-keep"])
+        assert all(path.exists() for path in keep)
