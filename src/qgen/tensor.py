@@ -1,13 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The graph is recorded eagerly: every differentiable op returns a Tensor that
-remembers its parents and a closure producing their adjoints. backward() on a
-scalar walks the recorded graph once in reverse topological order; after the
-pass only the leaves (Parameters and other parentless nodes) and the loss keep
-a .grad. Attention is one fused node. A tensor keeps its data's floating
-dtype (anything else becomes float64), and an op on operands of one dtype
-computes in it, gradients too; shapes are checked up front and mismatches
-fail loudly.
+The graph is recorded eagerly, as nodes apart from the data: a Tensor that
+needs a gradient has a node holding its parents' nodes and a closure that
+keeps only the arrays its backward rule reads, so an intermediate's array
+is freed once the forward code drops its Tensor. backward() on a scalar
+walks the nodes once in reverse topological order; after the pass only the
+leaves (Parameters and other parentless nodes) and the loss keep a .grad.
+Attention is one fused node. A tensor keeps its data's floating dtype
+(anything else becomes float64), and an op on operands of one dtype computes
+in it, gradients too; shapes are checked up front and mismatches fail loudly.
 """
 
 from __future__ import annotations
@@ -39,18 +40,39 @@ def _recording() -> bool:
     return _GRAD_STACK[-1]
 
 
-class Tensor:
-    """A dense array node. Treated as immutable once created."""
+class _Node:
+    """A tensor's gradient, its parents' nodes (None for one that needs no
+    gradient) and the closure mapping its gradient to theirs (None for a leaf)."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "parents", "backward")
+
+    def __init__(self, parents: tuple[_Node | None, ...] = ()):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
+
+
+class Tensor:
+    """A dense array, and its graph node if it needs a gradient. Immutable."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
+        self.node = _Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.node.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,9 +113,8 @@ def _as_tensor(x) -> Tensor:
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     out = Tensor(data)
-    if _recording() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
+    if _recording() and any(p.node is not None for p in parents):
+        out.node = _Node(tuple(p.node for p in parents))
     return out
 
 
@@ -114,46 +135,49 @@ def backward(loss: Tensor) -> None:
     """Propagate d(loss)/d(node) through the recorded graph.
 
     Gradients accumulate into .grad of every reachable leaf (a node without
-    parents, such as a Parameter); Parameters keep whatever was already in
+    parents, such as a Parameter's); Parameters keep whatever was already in
     .grad (zero them first when starting a fresh pass), and each leaf gets an
     array of its own. An intermediate node holds its gradient only while the
     pass needs it: after the pass, the loss and the leaves keep .grad and
-    every other node's is None.
+    every other node's is None. Each closure is dropped once run, so a graph
+    takes one pass; a loss with no recorded graph (built under no_grad, or
+    from no tensor that needs a gradient), or a consumed one, raises ValueError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    root = loss.node
+    if root is None:
+        raise ValueError("backward: the loss has no recorded graph")
+    topo, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
+        if node.parents and node.backward is None:
+            raise ValueError("backward: the graph was consumed by an earlier pass")
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if p is not None and p not in seen:
                 stack.append((p, False))
-    if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
-    else:
-        loss.grad = loss.grad + np.ones_like(loss.data)
+    seed = np.ones_like(loss.data)
+    root.grad = seed if root.grad is None else root.grad + seed
     for node in reversed(topo):
-        if node._backward is None or node.grad is None:
+        if node.grad is None or node.backward is None:
             continue
-        grads = node._backward(node.grad)
-        if node is not loss:
+        grads, node.backward = node.backward(node.grad), None  # frees its arrays
+        if node is not root:
             node.grad = None
-        for parent, pgrad in zip(node._parents, grads):
-            if not parent.requires_grad:
+        for parent, pgrad in zip(node.parents, grads):
+            if parent is None:
                 continue
             if parent.grad is None:
                 # Gradients are never updated in place, so an intermediate
                 # node may share its first one; a leaf outlives the pass.
-                parent.grad = pgrad if parent._parents else pgrad.copy()
+                parent.grad = pgrad if parent.parents else pgrad.copy()
             else:
                 parent.grad = parent.grad + pgrad
 
@@ -169,8 +193,9 @@ def add(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
     out = _result(data, (a, b))
-    if out.requires_grad:
-        out._backward = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+    if out.node is not None:
+        sa, sb = a.shape, b.shape
+        out.node.backward = lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
     return out
 
 
@@ -181,10 +206,11 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
     out = _result(data, (a, b))
-    if out.requires_grad:
-        out._backward = lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+    if out.node is not None:
+        ad, bd = a.data, b.data
+        out.node.backward = lambda g: (
+            _unbroadcast(g * bd, ad.shape),
+            _unbroadcast(g * ad, bd.shape),
         )
     return out
 
@@ -197,26 +223,27 @@ def matmul(a, b) -> Tensor:
     of the weight.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.shape} x {b.shape}")
-    if b.data.ndim == 2:
-        k, n = b.shape
-        data = (a.data.reshape(-1, k) @ b.data).reshape(*a.shape[:-1], n)
+    if bd.ndim == 2:
+        k, n = bd.shape
+        data = (ad.reshape(-1, k) @ bd).reshape(*ad.shape[:-1], n)
     else:
-        data = a.data @ b.data
+        data = ad @ bd
     out = _result(data, (a, b))
-    if out.requires_grad:
+    if out.node is not None:
         def _bw(g):
-            if b.data.ndim == 2:
-                ga = (g.reshape(-1, n) @ b.data.T).reshape(a.shape)
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+            if bd.ndim == 2:
+                ga = (g.reshape(-1, n) @ bd.T).reshape(ad.shape)
+                gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
             else:
-                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+                ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
             return ga, gb
-        out._backward = _bw
+        out.node.backward = _bw
     return out
 
 
@@ -231,8 +258,8 @@ def transpose(a) -> Tensor:
 def swap_axes(a, ax1: int, ax2: int) -> Tensor:
     a = _as_tensor(a)
     out = _result(np.swapaxes(a.data, ax1, ax2), (a,))
-    if out.requires_grad:
-        out._backward = lambda g: (np.swapaxes(g, ax1, ax2),)
+    if out.node is not None:
+        out.node.backward = lambda g: (np.swapaxes(g, ax1, ax2),)
     return out
 
 
@@ -240,16 +267,18 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
     out = _result(a.data.reshape(shape), (a,))
-    if out.requires_grad:
-        out._backward = lambda g: (g.reshape(a.shape),)
+    if out.node is not None:
+        sa = a.shape
+        out.node.backward = lambda g: (g.reshape(sa),)
     return out
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    out = _result(np.maximum(a.data, 0.0), (a,))
-    if out.requires_grad:
-        out._backward = lambda g: (g * (a.data > 0.0),)
+    y = np.maximum(a.data, 0.0)
+    out = _result(y, (a,))
+    if out.node is not None:
+        out.node.backward = lambda g: (g * (y > 0.0),)  # y > 0 just where a > 0
     return out
 
 
@@ -261,8 +290,8 @@ def softmax_rows(a) -> Tensor:
     a = _as_tensor(a)
     y = _softmax(a.data, "softmax_rows: input")
     out = _result(y, (a,))
-    if out.requires_grad:
-        out._backward = lambda g: (_softmax_grad(y, g),)
+    if out.node is not None:
+        out.node.backward = lambda g: (_softmax_grad(y, g),)
     return out
 
 
@@ -300,16 +329,17 @@ def attention(q, k, v, mask=None) -> Tensor:
 
     The scale is the square root of q's column count; leading axes broadcast.
     mask, if given, is a constant added to the raw scores (large negative
-    entries forbid positions); no gradient flows into it. The node keeps only
-    the attention probabilities for its backward pass.
+    entries forbid positions); no gradient flows into it. The node keeps the
+    probabilities (not the scores) and the operands' arrays for its backward.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    qd, kd, vd = q.data, k.data, v.data
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention: k rows {k.shape} != v rows {v.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: q cols {q.shape} != k cols {k.shape}")
     scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps q's dtype
-    scores = q.data @ np.swapaxes(k.data, -1, -2)
+    scores = qd @ np.swapaxes(kd, -1, -2)
     scores *= scale
     if mask is not None:
         mask = _as_tensor(mask).data
@@ -322,16 +352,16 @@ def attention(q, k, v, mask=None) -> Tensor:
             ) from None
     probs = _softmax(scores, "attention: score matrix")
     del scores
-    out = _result(probs @ v.data, (q, k, v))
-    if out.requires_grad:
+    out = _result(probs @ vd, (q, k, v))
+    if out.node is not None:
         def _bw(g):
-            gv = _unbroadcast(np.swapaxes(probs, -1, -2) @ g, v.shape)
-            gs = _softmax_grad(probs, g @ np.swapaxes(v.data, -1, -2))
+            gv = _unbroadcast(np.swapaxes(probs, -1, -2) @ g, vd.shape)
+            gs = _softmax_grad(probs, g @ np.swapaxes(vd, -1, -2))
             gs *= scale
-            gq = _unbroadcast(gs @ k.data, q.shape)
-            gk = _unbroadcast(np.swapaxes(gs, -1, -2) @ q.data, k.shape)
+            gq = _unbroadcast(gs @ kd, qd.shape)
+            gk = _unbroadcast(np.swapaxes(gs, -1, -2) @ qd, kd.shape)
             return gq, gk, gv
-        out._backward = _bw
+        out.node.backward = _bw
     return out
 
 
@@ -347,42 +377,44 @@ def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = _result(xhat * gain.data + bias.data, (x, gain, bias))
-    if out.requires_grad:
+    gd = gain.data
+    out = _result(xhat * gd + bias.data, (x, gain, bias))
+    if out.node is not None:
         def _bw(g):
             lead = tuple(range(g.ndim - 1))
             dgain = (g * xhat).sum(axis=lead)
             dbias = g.sum(axis=lead)
-            dxhat = g * gain.data
+            dxhat = g * gd
             dx = inv * (
                 dxhat
                 - dxhat.sum(axis=-1, keepdims=True) / d
                 - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
             )
             return dx, dgain, dbias
-        out._backward = _bw
+        out.node.backward = _bw
     return out
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: ids of any shape pick rows from a (vocab, dim) table."""
     ids = np.asarray(ids)
+    shape, dtype = table.shape, table.data.dtype
     if not np.issubdtype(ids.dtype, np.integer):
         raise ShapeError("embedding ids must be integers")
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+    if len(shape) != 2:
+        raise ShapeError(f"embedding table must be 2-d, got {shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
         raise ShapeError(
-            f"embedding id out of range [0, {table.shape[0]}): "
+            f"embedding id out of range [0, {shape[0]}): "
             f"min={ids.min()}, max={ids.max()}"
         )
     out = _result(table.data[ids], (table,))
-    if out.requires_grad:
+    if out.node is not None:
         def _bw(g):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+            gt = np.zeros(shape, dtype)
+            np.add.at(gt, ids.reshape(-1), g.reshape(-1, shape[1]))
             return (gt,)
-        out._backward = _bw
+        out.node.backward = _bw
     return out
 
 
@@ -420,7 +452,7 @@ def cross_entropy_with_logits(
         per_pos = picked
     loss_val = -(per_pos * valid).sum() / count
     out = _result(np.asarray(loss_val), (logits,))
-    if out.requires_grad:
+    if out.node is not None:
         def _bw(g):
             p = np.exp(logp)
             target_dist = np.zeros_like(p)
@@ -429,8 +461,8 @@ def cross_entropy_with_logits(
                 target_dist += label_smoothing / v
             weight = (valid[:, None] * (float(g) / count)).astype(p.dtype, copy=False)
             gl = (p - target_dist) * weight
-            return (gl.reshape(logits.shape),)
-        out._backward = _bw
+            return (gl.reshape(*targets.shape, v),)
+        out.node.backward = _bw
     return out
 
 
@@ -445,11 +477,10 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeError(
                 f"concat_last: leading shapes differ, {parts[0].shape} vs {p.shape}"
             )
-    sizes = [p.shape[-1] for p in parts]
     out = _result(np.concatenate([p.data for p in parts], axis=-1), tuple(parts))
-    if out.requires_grad:
-        splits = np.cumsum(sizes)[:-1]
-        out._backward = lambda g: tuple(np.split(g, splits, axis=-1))
+    if out.node is not None:
+        splits = np.cumsum([p.shape[-1] for p in parts])[:-1]
+        out.node.backward = lambda g: tuple(np.split(g, splits, axis=-1))
     return out
 
 
@@ -462,8 +493,8 @@ def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
         raise ValueError("dropout rate must be in [0, 1)")
     keep = (rng.random(a.shape) >= rate) / a.data.dtype.type(1.0 - rate)
     out = _result(a.data * keep, (a,))
-    if out.requires_grad:
-        out._backward = lambda g: (g * keep,)
+    if out.node is not None:
+        out.node.backward = lambda g: (g * keep,)
     return out
 
 

@@ -270,10 +270,19 @@ def save_checkpoint(directory, model: TransformerModel, state: TrainState,
 
 
 def load_checkpoint(directory) -> tuple[TransformerModel, TrainState, TrainConfig]:
+    """The model, state and config a checkpoint holds. A config.json whose
+    "train" section is missing or bad raises ValueError naming the file."""
     model = TransformerModel.load(os.path.join(directory, "model.bin"))
     state = TrainState.load(os.path.join(directory, "state.bin"), model)
-    cfg = read_json(os.path.join(directory, "config.json"))
-    return model, state, TrainConfig(**cfg["train"])
+    path = os.path.join(directory, "config.json")
+    doc = read_json(path)
+    fields = doc.get("train") if isinstance(doc, dict) else None
+    if not isinstance(fields, dict):
+        raise ValueError(f'checkpoint {path}: "train" must be an object of train settings')
+    try:
+        return model, state, TrainConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: bad train config: {exc}") from None
 
 
 def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -146,6 +147,18 @@ class TestBackward:
         p = Parameter(np.array([3.0]), "p")
         backward(total(mul(p, p)))
         np.testing.assert_allclose(p.grad, [6.0])
+
+    def test_a_graph_takes_one_pass(self):
+        p = Parameter(np.array([1.0, -2.0]), "p")
+        shared = mul(p, p)
+        loss = total(shared)
+        backward(loss)
+        np.testing.assert_array_equal(p.grad, [2.0, -4.0])
+        with pytest.raises(ValueError, match="consumed"):
+            backward(loss)
+        with pytest.raises(ValueError, match="consumed"):
+            backward(total(mul(shared, 3.0)))
+        np.testing.assert_array_equal(p.grad, [2.0, -4.0])
 
     def test_gradients_accumulate_across_passes(self):
         p = Parameter(np.ones(2), "p")
@@ -321,7 +334,17 @@ class TestNoGrad:
         with no_grad():
             out = mul(p, 2.0)
         assert not out.requires_grad
-        assert out._parents == ()
+        assert out.node is None
+
+    def test_backward_refuses_a_loss_with_no_graph(self):
+        p = Parameter(np.ones(3), "p")
+        with no_grad():
+            loss = total(mul(p, 2.0))
+        with pytest.raises(ValueError, match="no recorded graph"):
+            backward(loss)
+        with pytest.raises(ValueError, match="no recorded graph"):
+            backward(total(Tensor(np.ones(3))))
+        np.testing.assert_array_equal(p.grad, np.zeros(3))
 
     def test_dropout_eval_mode_is_identity(self):
         x = Tensor(np.ones((2, 2)))
@@ -426,7 +449,7 @@ class TestFusedAttention:
     def test_is_one_node_over_q_k_v(self):
         rng, q, k, v, _ = self._operands(12, 3, 5)
         out = attention(q, k, v, Tensor(_pad_mask(rng, 2, 5)))
-        assert out._parents == (q, k, v)
+        assert out.node.parents == (q.node, k.node, v.node)
 
     def test_keeps_non_finite_score_check(self):
         rng, q, k, v, _ = self._operands(13, 3, 5)
@@ -485,12 +508,12 @@ class TestGradientLifetime:
 
     @staticmethod
     def _nodes(loss):
-        seen, stack = {}, [loss]
+        seen, stack = {}, [loss.node]
         while stack:
             node = stack.pop()
-            if id(node) not in seen:
+            if node is not None and id(node) not in seen:
                 seen[id(node)] = node
-                stack.extend(node._parents)
+                stack.extend(node.parents)
         return list(seen.values())
 
     def test_leaf_gradients_are_values_of_their_own(self):
@@ -508,7 +531,51 @@ class TestGradientLifetime:
     def test_no_intermediate_keeps_a_gradient(self):
         x, y, w, loss = self._graph()
         backward(loss)
-        intermediates = [n for n in self._nodes(loss) if n._parents and n is not loss]
+        intermediates = [n for n in self._nodes(loss) if n.parents and n is not loss.node]
         assert len(intermediates) == 8  # six ops, and total's matmul and reshape
         assert all(n.grad is None for n in intermediates)
         assert loss.grad is not None
+
+
+class TestRetention:
+    """A node keeps only the arrays its backward rule reads: an intermediate
+    whose array no rule reads is freed once the forward code drops it."""
+
+    @staticmethod
+    def _leaves():
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        y = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        gain = Parameter(rng.normal(size=4), "gain")
+        bias = Parameter(rng.normal(size=4), "bias")
+        w = Parameter(rng.normal(size=(4, 5)), "w")
+        return x, y, gain, bias, w, rng.integers(0, 5, size=6)
+
+    def test_only_read_arrays_outlive_their_tensors(self):
+        x, y, gain, bias, w, targets = self._leaves()
+        alive = {}
+        h = add(x, y)
+        alive["add"] = weakref.ref(h.data)
+        h = layer_norm(h, gain, bias)
+        alive["layer_norm"] = weakref.ref(h.data)
+        h = relu(h)
+        alive["relu"] = weakref.ref(h.data)
+        h = matmul(dropout(h, 0.25, np.random.default_rng(18)), w)
+        alive["logits"] = weakref.ref(h.data)
+        loss = cross_entropy_with_logits(h, targets)
+        del h
+        assert alive["add"]() is None
+        assert alive["layer_norm"]() is None
+        assert alive["logits"]() is None
+        assert alive["relu"]() is not None  # relu's mask is its output > 0
+        backward(loss)
+
+        ref = self._leaves()
+        kept = [add(ref[0], ref[1])]
+        kept.append(layer_norm(kept[-1], ref[2], ref[3]))
+        kept.append(relu(kept[-1]))
+        kept.append(dropout(kept[-1], 0.25, np.random.default_rng(18)))
+        kept.append(matmul(kept[-1], ref[4]))
+        backward(cross_entropy_with_logits(kept[-1], ref[5]))
+        for got, want in zip((x, y, gain, bias, w), ref):
+            np.testing.assert_array_equal(got.grad, want.grad)

@@ -627,6 +627,26 @@ class TestCheckpoint:
             assert state.m[p.name] is arrays[f"m:{p.name}"]
             assert state.v[p.name] is arrays[f"v:{p.name}"]
 
+    @pytest.mark.parametrize("train_section,key", [
+        (None, '"train"'),
+        ({"total_steps": 4, "bogus": 1}, "bogus"),
+        ([4, 1e-3], '"train"'),
+        ({"total_steps": -1}, "total_steps"),
+    ], ids=["missing", "unknown_key", "list", "negative_steps"])
+    def test_bad_train_section_names_the_file_and_key(self, tmp_path, train_section,
+                                                     key):
+        model = tiny_model(seed=7)
+        cfg = TrainConfig(total_steps=4, warmup_steps=2, batch_size=2)
+        save_checkpoint(tmp_path / "ckpt", model, TrainState(model, seed=0), cfg)
+        path = tmp_path / "ckpt" / "config.json"
+        doc = json.loads(path.read_text())
+        doc.pop("train")
+        if train_section is not None:
+            doc["train"] = train_section
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{key}"):
+            load_checkpoint(tmp_path / "ckpt")
+
     def test_accuracy_helper_bounded(self):
         model = tiny_model(seed=8)
         acc = teacher_forced_accuracy(model, [tiny_bucket()])
