@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-# softmax_rows is not called here. It stays imported because the benchmark's
-# traced runs wrap tensor ops where this module looks them up
+# concat_last and softmax_rows are not called here. They stay imported because
+# the benchmark's traced runs wrap tensor ops where this module looks them up
 # (perfbench/layers.py: qgen.model:<op>).
 from .tensor import (  # noqa: F401
     Parameter,
@@ -98,16 +100,16 @@ def positional_encoding(max_len: int, d_model: int) -> Tensor:
 
 
 class MultiHeadParams:
-    """Per-head query/key/value projections plus the shared output projection,
-    made by a ParameterMaker."""
+    """Query, key, value and output projections, each one (d_model, d_model)
+    Parameter; head i reads columns i*d_head ... (i+1)*d_head of wq, wk, wv."""
 
     def __init__(self, d_model: int, num_heads: int, make: ParameterMaker, prefix: str):
-        shape = (d_model, d_model // num_heads)
         self.num_heads = num_heads
         self.d_model = d_model
-        self.wq = [make(f"{prefix}.wq{i}", shape, _xavier) for i in range(num_heads)]
-        self.wk = [make(f"{prefix}.wk{i}", shape, _xavier) for i in range(num_heads)]
-        self.wv = [make(f"{prefix}.wv{i}", shape, _xavier) for i in range(num_heads)]
+        per_head = partial(_xavier, heads=num_heads)
+        self.wq = make(f"{prefix}.wq", (d_model, d_model), per_head)
+        self.wk = make(f"{prefix}.wk", (d_model, d_model), per_head)
+        self.wv = make(f"{prefix}.wv", (d_model, d_model), per_head)
         self.wo = make(f"{prefix}.wo", (d_model, d_model), _xavier)
 
     def keys_values(self, x) -> tuple[Tensor, Tensor]:
@@ -115,16 +117,16 @@ class MultiHeadParams:
         return _heads(x, self.wk, self.num_heads), _heads(x, self.wv, self.num_heads)
 
 
-def _heads(x, weights, num_heads: int) -> Tensor:
-    """x times the per-head weights, side by side, with the heads moved to
-    their own axis: (..., m, d_model) -> (..., h, m, d_head)."""
-    packed = matmul(x, concat_last(weights))  # (..., m, d_model)
+def _heads(x, weight, num_heads: int) -> Tensor:
+    """x times a projection, with the heads moved to their own axis:
+    (..., m, d_model) -> (..., h, m, d_head)."""
+    packed = matmul(x, weight)  # (..., m, d_model)
     split = reshape(packed, (*x.shape[:-1], num_heads, packed.shape[-1] // num_heads))
     return swap_axes(split, -3, -2)
 
 
 def multi_head(x_q, params: MultiHeadParams, mask=None, kv=None) -> Tensor:
-    """Multi-head attention: project per head, attend, concatenate, project out.
+    """Multi-head attention: project, split into heads, attend, merge, project out.
 
     kv is the keys and values attended to, as params.keys_values projects
     them; it defaults to those of x_q (self-attention). Cross-attention
@@ -141,9 +143,11 @@ def multi_head(x_q, params: MultiHeadParams, mask=None, kv=None) -> Tensor:
     return matmul(merged, params.wo)
 
 
-def _xavier(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-limit, limit, size=shape)
+def _xavier(rng: np.random.Generator, shape: tuple[int, int], heads: int = 1) -> np.ndarray:
+    """heads Xavier-uniform column blocks, each at its width's limit, side by side."""
+    limit = np.sqrt(6.0 / (shape[0] + shape[1] // heads))
+    blocks = rng.uniform(-limit, limit, size=(heads, shape[0], shape[1] // heads))
+    return blocks.transpose(1, 0, 2).reshape(shape)
 
 
 def _ones(rng, shape) -> np.ndarray:
@@ -446,6 +450,7 @@ class TransformerModel:
             config = ModelConfig(**meta["config"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint {path}: bad model config: {exc}") from None
+        arrays = join_head_blocks(arrays, config, path)
         model = cls.__new__(cls)
         model._build(config, ParameterMaker(stored=arrays, path=path))
         if [p.name for p in model._parameters] != list(arrays):
@@ -468,14 +473,18 @@ def write_container(path, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> 
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.uint32(_CONTAINER_VERSION).tobytes())
-        fh.write(np.uint32(len(blob)).tobytes())
-        fh.write(blob)
-        for _, arr in tensors:  # from the array's own buffer when it is one
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(np.uint32(_CONTAINER_VERSION).tobytes())
+            fh.write(np.uint32(len(blob)).tobytes())
+            fh.write(blob)
+            for _, arr in tensors:  # from the array's own buffer when it is one
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -529,6 +538,35 @@ def stored_array(arrays: dict[str, np.ndarray], name: str, shape, path) -> np.nd
         raise ValueError(f"checkpoint {path}: {name} has shape {arrays[name].shape}, "
                          f"expected {shape}")
     return arrays[name]
+
+
+_HEAD_BLOCK = re.compile(r"(.+\.w[qkv])\d+")
+
+
+def join_head_blocks(arrays: dict[str, np.ndarray], config: ModelConfig,
+                     path) -> dict[str, np.ndarray]:
+    """arrays of the container at path with an older checkpoint's head blocks
+    (<block>.wq0 ... <block>.wq<h-1>, also wk, wv and their m:/v: moments)
+    joined in head order, at the first block's place, into the matrix they are
+    the columns of. Blocks other than heads 0 ... h-1 raise ValueError."""
+    joined: dict[str, np.ndarray | None] = {}
+    heads: dict[str, int] = {}
+    for name, array in arrays.items():
+        match = _HEAD_BLOCK.fullmatch(name)
+        if match is None:
+            joined[name] = array
+        else:
+            joined.setdefault(match[1], None)
+            heads[match[1]] = heads.get(match[1], 0) + 1
+    for name, count in heads.items():
+        if name in arrays or count != config.num_heads:
+            raise ValueError(f"checkpoint {path}: {name} is stored as {count} heads, "
+                             f"not as one matrix or {config.num_heads} heads")
+        shape = (config.d_model, config.d_head)
+        blocks = [stored_array(arrays, f"{name}{i}", shape, path)
+                  for i in range(config.num_heads)]
+        joined[name] = np.concatenate(blocks, axis=1)
+    return joined
 
 
 def _tensor_entry(path, entry) -> tuple[str, tuple[int, ...]]:

@@ -143,7 +143,7 @@ def test_c05_attention_math():
 
     d_model = 6
     params = MultiHeadParams(d_model, 1, ParameterMaker(np.random.default_rng(3)), "t")
-    for w in (params.wq[0], params.wk[0], params.wv[0], params.wo):
+    for w in (params.wq, params.wk, params.wv, params.wo):
         w.data = np.eye(d_model)
     x = Tensor(rng.normal(size=(5, d_model)))
     reduction_err = float(

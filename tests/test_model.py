@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from qgen.generation import GenerationConfig, beam_search
 from qgen.model import (
     DecodeCache,
     ModelConfig,
@@ -125,9 +126,9 @@ class TestMultiHead:
         d = 6
         rng = np.random.default_rng(4)
         params = MultiHeadParams(d, 1, ParameterMaker(rng), "t")
-        params.wq[0].data = np.eye(d)
-        params.wk[0].data = np.eye(d)
-        params.wv[0].data = np.eye(d)
+        params.wq.data = np.eye(d)
+        params.wk.data = np.eye(d)
+        params.wv.data = np.eye(d)
         params.wo.data = np.eye(d)
         x = Tensor(rng.normal(size=(5, d)))
         got = multi_head(x, params)
@@ -142,18 +143,36 @@ class TestMultiHead:
 
     def test_two_heads_match_straight_line_evaluation(self):
         d, h = 4, 2
+        dh = d // h
         rng = np.random.default_rng(6)
         params = MultiHeadParams(d, h, ParameterMaker(rng), "t")
         x = rng.normal(size=(2, d))
         got = multi_head(Tensor(x), params).data
         heads = []
         for i in range(h):
-            q = x @ params.wq[i].data
-            k = x @ params.wk[i].data
-            v = x @ params.wv[i].data
+            q = x @ params.wq.data[:, i * dh:(i + 1) * dh]
+            k = x @ params.wk.data[:, i * dh:(i + 1) * dh]
+            v = x @ params.wv.data[:, i * dh:(i + 1) * dh]
             heads.append(naive_attention(q, k, v))
         want = np.concatenate(heads, axis=-1) @ params.wo.data
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_no_model_path_concatenates_weights(self, monkeypatch):
+        """Each projection is one stored matrix: neither a training pass nor
+        a beam search joins weights at call time."""
+        def refuse(parts):
+            raise AssertionError("concat_last called")
+
+        monkeypatch.setattr("qgen.model.concat_last", refuse)
+        model = TransformerModel(small_config(dropout=0.1), seed=3)
+        src, tgt = np.array([[4, 5, 6, 7]]), np.array([[8, 9, 3]])
+        dec_in = np.array([[2, 8, 9]])
+        loss = cross_entropy_with_logits(
+            model.forward(src, dec_in, rng=np.random.default_rng(0)), tgt, pad_id=0)
+        backward(loss)
+        assert all(np.isfinite(p.grad).all() for p in model.parameters())
+        cfg = GenerationConfig(beam_width=4, max_length=6)
+        assert beam_search(model, [4, 5, 6, 7], cfg)
 
     def test_cross_attention_uses_kv_sequence(self):
         d = 4
@@ -287,7 +306,7 @@ class TestModelGradients:
         def f():
             return cross_entropy_with_logits(model.forward(src, dec_in), tgt, pad_id=0)
 
-        picked = ["embed", "enc0.attn.wq0", "enc0.ffn.w1", "dec0.cross_attn.wo",
+        picked = ["embed", "enc0.attn.wq", "enc0.ffn.w1", "dec0.cross_attn.wo",
                   "dec_norm.gain"]
         by_name = {p.name: p for p in model.parameters()}
         for name in picked:
@@ -350,15 +369,14 @@ def documented_order(cfg):
     """(name, shape, fill) of every parameter in checkpoint order: the
     embedding, each encoder layer, enc_norm, each decoder layer, dec_norm,
     then out_proj when the output projection is not tied."""
-    d, head = cfg.d_model, (cfg.d_model, cfg.d_head)
+    d = cfg.d_model
     order = [("embed", (cfg.vocab_size, d), "normal")]
 
     def norm(prefix):
         order.extend([(f"{prefix}.gain", (d,), "ones"), (f"{prefix}.bias", (d,), "zeros")])
 
     def attention_block(prefix):
-        for w in ("wq", "wk", "wv"):
-            order.extend((f"{prefix}.{w}{i}", head, "xavier") for i in range(cfg.num_heads))
+        order.extend((f"{prefix}.{w}", (d, d), "heads") for w in ("wq", "wk", "wv"))
         order.append((f"{prefix}.wo", (d, d), "xavier"))
 
     def feed_forward(prefix):
@@ -390,7 +408,9 @@ class TestParameterOrder:
     @pytest.mark.parametrize("shared", [True, False])
     def test_initial_values_redrawn_in_the_documented_order(self, shared):
         """Only the embedding (normal) and the weight matrices (Xavier
-        uniform) draw, in checkpoint order; norms and biases draw nothing."""
+        uniform) draw, in checkpoint order; norms and biases draw nothing.
+        Each query, key and value projection is num_heads Xavier blocks of
+        (d_model, d_head), drawn one after another and set side by side."""
         cfg = small_config(share_embeddings=shared, num_heads=4)
         model = TransformerModel(cfg, seed=11)
         rng = np.random.default_rng(11)
@@ -403,10 +423,23 @@ class TestParameterOrder:
             elif fill == "xavier":
                 limit = math.sqrt(6.0 / (shape[0] + shape[1]))
                 want = rng.uniform(-limit, limit, size=shape)
+            elif fill == "heads":
+                block = (cfg.d_model, cfg.d_head)
+                limit = math.sqrt(6.0 / (block[0] + block[1]))
+                heads = [rng.uniform(-limit, limit, size=block) for _ in range(cfg.num_heads)]
+                want = np.concatenate(heads, axis=1)
             else:
                 want = np.ones(shape) if fill == "ones" else np.zeros(shape)
             assert p.data.tobytes() == want.tobytes(), name
             assert p.data.shape == shape, name
+
+    def test_cli_default_model_makes_65_tensors(self):
+        """Embedding, then per encoder layer 2 norms, 4 attention matrices
+        and 4 feed-forward arrays (1 + 2 * 12), enc_norm, per decoder layer 3
+        norms, 8 attention matrices and 4 feed-forward arrays (2 * 18), and
+        dec_norm."""
+        model = TransformerModel(ModelConfig(vocab_size=16), seed=0)
+        assert len(model.parameters()) == 1 + 2 * 12 + 2 + 2 * 18 + 2 == 65
 
     def test_checkpoint_lists_the_parameters_in_order(self, tmp_path):
         cfg = small_config(share_embeddings=False)
@@ -468,6 +501,25 @@ class TestCheckpoint:
             write_container(path, meta, stored)
             with pytest.raises(ValueError, match=message):
                 TransformerModel.load(path)
+
+    @pytest.mark.parametrize("fault", ["refused_rename", "failed_write"])
+    def test_failed_write_leaves_the_old_file_and_no_temporary(self, tmp_path,
+                                                             monkeypatch, fault):
+        path = tmp_path / "m.bin"
+        write_container(path, {"kind": "old"}, [("a", np.zeros(2))])
+        before = path.read_bytes()
+        tensors = [("a", np.ones(2))]
+        if fault == "refused_rename":
+            def refuse(src, dst):
+                raise PermissionError(f"refused: {dst}")
+
+            monkeypatch.setattr("qgen.model.os.replace", refuse)
+        else:
+            tensors.append(("b", np.array(["not a number"])))
+        with pytest.raises((PermissionError, ValueError)):
+            write_container(path, {"kind": "new"}, tensors)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin"]
 
     def test_container_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
