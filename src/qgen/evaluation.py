@@ -10,12 +10,14 @@ lowercasing and splitting punctuation characters into their own tokens.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .preprocess import split_words
 
 DISTANCE_BUCKETS = ("<=5", "6-10", "11-15", "16-20", ">=21")
+_BUCKET_TOPS = (5, 10, 15, 20)  # the largest distance in each bucket but the last
 
 
 @dataclass(frozen=True)
@@ -40,29 +42,26 @@ class EditAlignment:
         return self.substitutions + self.insertions + self.correct
 
 
-def edit_alignment(ref_words: list[str], hyp_words: list[str]) -> EditAlignment:
-    """Unit-cost Levenshtein over words, computed bit-parallel over the
-    reference words (Myers 1999, in Hyyro's formulation).
+def _last_column(ref_words: list[str], hyp_words: list[str],
+                 columns: list[tuple[int, int]] | None = None) -> tuple[int, int]:
+    """Column m of D, computed bit-parallel over the reference words (Myers
+    1999, in Hyyro's formulation); columns, if given, gets columns 0 ... m-1.
 
     D(i, j) is the distance between the first i reference words and the
-    first j hypothesis words. Column j of D is kept as two masks of its
-    vertical steps D(i, j) - D(i-1, j): bit i-1 of plus is set where the step
-    is +1, of minus where it is -1, so D(i, j) = j + the popcount of the i
-    lowest bits of plus - that of minus. Each hypothesis word is one column
-    step on Python ints, which have no width limit.
-
-    Among minimal alignments the backtrace prefers correct, then substitution,
-    then deletion, then insertion, which pins the decomposition down even when
-    several alignments share the minimal distance.
+    first j hypothesis words. Column j of D is two masks of its vertical
+    steps D(i, j) - D(i-1, j): bit i-1 of plus is set where the step is +1,
+    of minus where it is -1, so D(i, j) = j + the popcount of the i lowest
+    bits of plus - that of minus. Each hypothesis word is one column step on
+    Python ints, which have no width limit.
     """
-    n, m = len(ref_words), len(hyp_words)
     match: dict[str, int] = {}
     for i, word in enumerate(ref_words):
         match[word] = match.get(word, 0) | 1 << i
-    rows = (1 << n) - 1
+    rows = (1 << len(ref_words)) - 1
     plus, minus = rows, 0
-    plus_cols, minus_cols = [plus], [minus]
     for word in hyp_words:
+        if columns is not None:
+            columns.append((plus, minus))
         eq = match.get(word, 0)
         down = eq | minus
         across = (((eq & plus) + plus) ^ plus) | eq
@@ -71,11 +70,28 @@ def edit_alignment(ref_words: list[str], hyp_words: list[str]) -> EditAlignment:
         h_minus = (plus & across) << 1
         plus = (h_minus | ~(down | h_plus)) & rows
         minus = h_plus & down
-        plus_cols.append(plus)
-        minus_cols.append(minus)
+    return plus, minus
+
+
+def edit_distance(ref_words: list[str], hyp_words: list[str]) -> int:
+    """Unit-cost Levenshtein over words: D(n, m) alone, with no backtrace."""
+    plus, minus = _last_column(ref_words, hyp_words)
+    return len(hyp_words) + plus.bit_count() - minus.bit_count()
+
+
+def edit_alignment(ref_words: list[str], hyp_words: list[str]) -> EditAlignment:
+    """Unit-cost Levenshtein over words, with the counts of one minimal
+    alignment backtraced through the columns of D. Among minimal alignments
+    the backtrace prefers correct, then substitution, then deletion, then
+    insertion, which pins the decomposition down even when several
+    alignments share the minimal distance."""
+    n, m = len(ref_words), len(hyp_words)
+    columns: list[tuple[int, int]] = []
+    last = _last_column(ref_words, hyp_words, columns)
+    plus_cols, minus_cols = zip(*columns, last)
+    cost = m + last[0].bit_count() - last[1].bit_count()  # D(i, j)
     s = d = ins = c = 0
     i, j = n, m
-    cost = m + plus.bit_count() - minus.bit_count()  # D(i, j)
     while i and j:
         # D never falls along a diagonal, so a matching word is a minimal step
         if ref_words[i - 1] == hyp_words[j - 1]:
@@ -118,7 +134,7 @@ def question_distance(ref: str, hyp: str) -> EditAlignment:
 def first_word_frequency(questions: list[str]) -> list[tuple[str, int]]:
     """Counts of each question's first whitespace token, most frequent first
     (ties alphabetical). Empty questions are skipped."""
-    counts = Counter(q.split()[0] for q in questions if q.split())
+    counts = Counter(words[0] for words in map(str.split, questions) if words)
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -132,15 +148,7 @@ def word_count_histogram(questions: list[str]) -> tuple[float, dict[int, int]]:
 
 
 def _bucket_of(distance: int) -> str:
-    if distance <= 5:
-        return "<=5"
-    if distance <= 10:
-        return "6-10"
-    if distance <= 15:
-        return "11-15"
-    if distance <= 20:
-        return "16-20"
-    return ">=21"
+    return DISTANCE_BUCKETS[bisect_left(_BUCKET_TOPS, distance)]
 
 
 @dataclass
@@ -230,24 +238,22 @@ def corpus_report(pairs: list[tuple[str, str, str]]) -> CorpusReport:
     if not pairs:
         raise ValueError("corpus_report: no pairs")
     seen: set[str] = set()
-    for qid, _, _ in pairs:
-        if qid in seen:
-            raise ValueError(f"corpus_report: duplicate id {qid!r}")
-        seen.add(qid)
     records: list[PairRecord] = []
     bucket_counts = Counter()
     exact = 0
     for qid, ref, hyp in pairs:
+        if qid in seen:
+            raise ValueError(f"corpus_report: duplicate id {qid!r}")
+        seen.add(qid)
         ref_words = wer_tokenize(ref)
         hyp_words = wer_tokenize(hyp)
-        alignment = edit_alignment(ref_words, hyp_words)
-        dist = alignment.distance
-        normalized = wer_normalized(alignment) if alignment.ref_len else float(dist > 0)
+        dist = edit_distance(ref_words, hyp_words)
+        normalized = dist / len(ref_words) if ref_words else float(dist > 0)
         bucket_counts[_bucket_of(dist)] += 1
         exact += dist == 0
         records.append(
             PairRecord(
-                qid, dist, normalized, alignment.ref_len, alignment.hyp_len,
+                qid, dist, normalized, len(ref_words), len(hyp_words),
                 ref_words[0] if ref_words else "",
                 hyp_words[0] if hyp_words else "",
             )

@@ -191,6 +191,8 @@ _WORDS = re.compile(rf"[^\s{_ASCII_PUNCTUATION}]+|[{_ASCII_PUNCTUATION}]")
 
 def split_words(text: str) -> list[str]:
     """Whitespace-split, then break punctuation characters into their own tokens."""
+    if text.isascii():
+        return _WORDS.findall(text)
     words: list[str] = []
     for word in _WORDS.findall(text):
         if word.isascii():
@@ -206,23 +208,23 @@ def load_stopwords(path) -> frozenset[str]:
     return frozenset(w.strip() for _, w in read_lines(path) if w.strip())
 
 
-def _is_protected(token: str) -> bool:
-    return token in ENTITY_TAGS or token.isdigit()
-
-
 def remove_stopwords(tokens: list[str], stoplist: frozenset[str]) -> list[str]:
     """Drop stop-list members, preserving order. Tag names and bare digit
     tokens (tag indices) always survive."""
-    return [t for t in tokens if _is_protected(t) or t not in stoplist]
+    return [t for t in tokens if t not in stoplist or t in ENTITY_TAGS or t.isdigit()]
 
 
 def _pieces(words: list[str], vocab: Vocabulary) -> TokenSequence:
     tokens: list[str] = []
     ids: list[int] = []
+    memo = vocab.word_pieces  # each distinct word is tokenized once
     for w in words:
-        seq = tokenize(w, vocab)
-        tokens.extend(seq.tokens)
-        ids.extend(seq.ids)
+        pieces = memo.get(w)
+        if pieces is None:
+            seq = tokenize(w, vocab)
+            pieces = memo[w] = tuple(seq.tokens), tuple(seq.ids)
+        tokens.extend(pieces[0])
+        ids.extend(pieces[1])
     return TokenSequence(tokens, ids)
 
 

@@ -389,9 +389,13 @@ def _truncate_log(path, step: int) -> None:
                 break
             kept.append(line)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(kept)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(kept)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def teacher_forced_accuracy(model: TransformerModel, buckets: list[Bucket]) -> float:

@@ -64,6 +64,8 @@ class Vocabulary:
                 else:
                     raise MissingReservedTokenError(f"reserved token {name!r} not found")
             self._reserved[name] = self.ids[tok]
+        # word -> tokenize's (pieces, ids), filled by preprocess for one CLI call
+        self.word_pieces: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -124,15 +126,20 @@ class TokenSequence:
 
 def read_lines(path, error: type[ValueError] = ValueError):
     """Yield (line number, line) for each line of a UTF-8 text file, without
-    its line end (\\n or \\r\\n). The file is read in binary and decoded a
-    line at a time, so a byte that is not UTF-8 raises error naming path:line."""
+    its line end (\\n or \\r\\n). The file is decoded in one call; a byte that
+    is not UTF-8 raises error naming path:line after the lines before it."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"{path}:{lineno}: not UTF-8 (byte 0x{raw[exc.start]:02x})") from None
-            yield lineno, line.removesuffix("\n").removesuffix("\r")
+        data = fh.read()
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+        text = data[: data.rfind(b"\n", 0, bad) + 1].decode("utf-8")
+    lines = text.removesuffix("\n").split("\n") if text else []
+    for lineno, line in enumerate(lines, 1):
+        yield lineno, line.removesuffix("\r")
+    if bad is not None:
+        raise error(f"{path}:{len(lines) + 1}: not UTF-8 (byte 0x{data[bad]:02x})")
 
 
 def load_vocabulary(path) -> Vocabulary:

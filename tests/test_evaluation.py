@@ -5,12 +5,17 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_fixtures import WER_PAIRS
 from qgen.evaluation import (
+    DISTANCE_BUCKETS,
     EditAlignment,
+    _bucket_of,
     corpus_report,
     edit_alignment,
+    edit_distance,
     first_word_frequency,
     question_distance,
     wer_normalized,
@@ -151,6 +156,33 @@ class TestEditAlignment:
             assert dxy <= dxz + dzy
 
 
+# Word lists over a small alphabet, so that words repeat and minimal
+# alignments tie, and long enough to cross 64 words (one machine word).
+WORD_LISTS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=90)
+
+
+class TestEditDistance:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(WORD_LISTS, WORD_LISTS)
+    def test_equals_the_alignment_and_both_oracles(self, ref, hyp):
+        distance = edit_distance(ref, hyp)
+        assert distance == edit_alignment(ref, hyp).distance
+        assert distance == brute_distance(ref, hyp)
+        assert distance == reference_alignment(ref, hyp).distance
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(WORD_LISTS, WORD_LISTS), min_size=1, max_size=6))
+    def test_report_pairs_equal_those_of_the_alignment(self, word_pairs):
+        pairs = [(f"q{k}", " ".join(ref), " ".join(hyp))
+                 for k, (ref, hyp) in enumerate(word_pairs)]
+        for record, (_, ref, hyp) in zip(corpus_report(pairs).pairs, pairs):
+            alignment = question_distance(ref, hyp)
+            normalized = (wer_normalized(alignment) if alignment.ref_len
+                          else float(alignment.distance > 0))
+            assert (record.distance, record.normalized, record.ref_len, record.hyp_len) \
+                == (alignment.distance, normalized, alignment.ref_len, alignment.hyp_len)
+
+
 class TestWerNormalized:
     def test_zero_distance(self):
         assert wer_normalized(EditAlignment(0, 0, 0, 4)) == 0.0
@@ -194,6 +226,14 @@ class TestCorpusReport:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             corpus_report([("q1", "a?", "a?"), ("q1", "b?", "b?")])
+
+    def test_each_distance_falls_in_its_named_bucket(self):
+        for distance in range(40):
+            lows = [0, 6, 11, 16, 21]
+            want = sum(distance >= low for low in lows) - 1
+            assert _bucket_of(distance) == DISTANCE_BUCKETS[want], distance
+        assert [_bucket_of(d) for d in (5, 6, 10, 11, 15, 16, 20, 21)] == \
+            ["<=5", "6-10", "6-10", "11-15", "11-15", "16-20", "16-20", ">=21"]
 
     def test_bucket_shares_sum_to_one(self):
         pairs = [(f"q{i}", ref, hyp) for i, (ref, hyp, _) in enumerate(WER_PAIRS)]

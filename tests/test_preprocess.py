@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_fixtures import SUPER_BOWL_PASSAGE, SUPER_BOWL_TAGGED
+from qgen import preprocess
 from qgen.preprocess import (
     ENTITY_TAGS,
     EntitySpan,
     GazetteerTagger,
     PreprocessError,
     _is_word_char,
+    default_data_path,
     postprocess_question,
     preprocess_pair,
     remove_stopwords,
@@ -21,7 +23,7 @@ from qgen.preprocess import (
     tag_entities,
     tagged_wordpieces,
 )
-from qgen.wordpiece import BOS, EOS, PAD, SEPARATOR, TokenSequence
+from qgen.wordpiece import BOS, EOS, PAD, SEPARATOR, TokenSequence, load_vocabulary
 
 
 def reference_split_words(text: str) -> list[str]:
@@ -332,6 +334,31 @@ class TestPreprocessPair:
     def test_literal_separator_in_text_dropped(self, tagger, stoplist, vocab):
         seq, _ = preprocess_pair("gold * gold", "a gold * title here", tagger, stoplist, vocab)
         assert seq.tokens.count(SEPARATOR) == 1
+
+    def test_each_distinct_word_is_tokenized_once_per_vocabulary(self, tagger, stoplist,
+                                                                  vocab, monkeypatch):
+        fresh = load_vocabulary(default_data_path("vocab.txt"))
+        assert fresh.word_pieces == {}
+        calls = []
+        real = preprocess.tokenize
+
+        def counted(word, v):
+            calls.append(word)
+            return real(word, v)
+
+        monkeypatch.setattr(preprocess, "tokenize", counted)
+        answer = "the Denver Broncos"
+        first = preprocess_pair(answer, SUPER_BOWL_PASSAGE, tagger, stoplist, fresh)
+        assert len(calls) == len(set(calls)) == len(fresh.word_pieces) > 10
+        again = preprocess_pair(answer, SUPER_BOWL_PASSAGE, tagger, stoplist, fresh)
+        assert len(calls) == len(fresh.word_pieces)
+        assert first == again
+        for word, (tokens, ids) in fresh.word_pieces.items():
+            assert type(tokens) is tuple and type(ids) is tuple
+            assert TokenSequence(list(tokens), list(ids)) == real(word, fresh)
+        monkeypatch.undo()
+        assert first == preprocess_pair(answer, SUPER_BOWL_PASSAGE, tagger, stoplist,
+                                        load_vocabulary(default_data_path("vocab.txt")))
 
 
 class TestPostprocessQuestion:

@@ -1,5 +1,10 @@
+import io
 import json
+import math
+import os
 import re
+import tempfile
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -297,6 +302,15 @@ class TestReadJsonl:
         path.write_bytes(b'{"id": 1}\r\n\r\n{"id": 2}\r\n')
         assert read_jsonl(path, {"id": ID}) == [{"id": 1}, {"id": 2}]
 
+    def test_bad_json_on_line_2_wins_over_bad_utf8_on_line_5(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'{"id": 1}\n{"id": \n{"id": 3}\n{"id": 4}\n{"id": "caf\xe9"}\n')
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: bad JSON: ")):
+            read_jsonl(path, {"id": ID})
+        path.write_bytes(b'{"id": 1}\n{"id": 2}\n{"id": 3}\n{"id": 4}\n{"id": "caf\xe9"}\n')
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:5: not UTF-8 (byte 0xe9)")):
+            read_jsonl(path, {"id": ID})
+
     @pytest.mark.parametrize("line,message", [
         ('[1, 2]', "expected a JSON object, got list"),
         ('{"id": true, "ids": []}', "field 'id' must be a string or an integer, got bool"),
@@ -326,3 +340,84 @@ class TestJsonDocuments:
     def test_read_json_reads_what_write_json_wrote(self, tmp_path):
         write_json(tmp_path / "doc.json", self.DOC)
         assert read_json(tmp_path / "doc.json") == self.DOC
+
+
+# JSON values of every kind write_json takes: strings with control and
+# non-ASCII characters, big ints, and the floats whose text is easy to get
+# wrong (-0.0, 1e-07, 1e+16, NaN, Infinity) among any others.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(), st.sampled_from([-0.0, 1e-7, 1e16, math.nan, math.inf, -math.inf]),
+    st.text(), st.text(st.characters(max_codepoint=0x9f)),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24,
+)
+# What json refuses to write: values of no JSON type, at any depth.
+NOT_JSON = st.sampled_from([b"bytes", {1, 2}, 1j, object(), np.int64(3)])
+
+
+def dumped(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+class TestWriteJsonBytes:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(JSON_DOCS)
+    def test_bytes_equal_json_dumps(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            write_json(path, doc)
+            with open(path, "rb") as fh:
+                assert fh.read() == dumped(doc)
+            assert os.listdir(tmp) == ["doc.json"]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(JSON_DOCS, min_size=1, max_size=3), NOT_JSON, st.data())
+    def test_a_value_json_refuses_raises_type_error(self, docs, bad, data):
+        at = data.draw(st.integers(0, len(docs)))
+        doc = {"values": docs[:at] + [{"deep": [bad]}] + docs[at:]}
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with pytest.raises(TypeError):
+                write_json(path, doc)
+            assert os.listdir(tmp) == []
+
+    def test_a_key_that_is_not_a_string_raises_type_error(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "doc.json", {"hist": {3: 1}})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_documents_qgen_writes_equal_json_dumps(self, tmp_path, squad_path):
+        from qgen import cli
+        from qgen.training import TrainConfig, TrainState, save_checkpoint
+        from qgen.model import ModelConfig, TransformerModel
+
+        out = tmp_path / "out"
+        refs, hyps = tmp_path / "refs.jsonl", tmp_path / "hyps.jsonl"
+        rows = [("q1", "Who won in 1999?", "who won in 1999 ?"),
+                ("q2", "Wie heißt «das»?", "what is it called"), ("q3", "", "why")]
+        refs.write_text("".join(json.dumps({"id": i, "question": r}) + "\n"
+                                for i, r, _ in rows), encoding="utf-8")
+        hyps.write_text("".join(json.dumps({"id": i, "question": h}) + "\n"
+                                for i, _, h in rows), encoding="utf-8")
+        args = ["--paths.out_dir", str(out)]
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["preprocess", "--paths.squad_json", str(squad_path),
+                             "--paths.examples_cache", str(tmp_path / "cache.jsonl")]
+                            + args) == 0
+            assert cli.main(["evaluate", str(refs), str(hyps)] + args) == 0
+        model = TransformerModel(ModelConfig(vocab_size=12, d_model=8, num_heads=2,
+                                             enc_layers=1, dec_layers=1, d_ff=16,
+                                             max_positions=16), seed=0)
+        save_checkpoint(tmp_path / "ckpt", model, TrainState(model, seed=0),
+                        TrainConfig(total_steps=3, warmup_steps=2))
+        for path in (out / "preprocess_summary.json", out / "report.json",
+                     tmp_path / "ckpt" / "config.json"):
+            written = path.read_bytes()
+            assert written == dumped(json.loads(written)), path

@@ -521,6 +521,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train(model, [Bucket(8, 4, [])], cfg, tmp_path / "x")
 
+    def test_a_refused_log_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        log = tmp_path / "metrics.jsonl"
+        text = "".join(json.dumps({"step": step}) + "\n" for step in range(4))
+        log.write_text(text, encoding="utf-8")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(training.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            training._truncate_log(str(log), 1)
+        assert os.listdir(tmp_path) == ["metrics.jsonl"]
+        assert log.read_text(encoding="utf-8") == text
+
 
 class TestTrim:
     def test_no_pad_column_keeps_the_matrix(self):

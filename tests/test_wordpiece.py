@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from qgen.wordpiece import (
     TokenSequence,
     detokenize,
     load_vocabulary,
+    read_lines,
     tokenize,
 )
 
@@ -176,3 +180,68 @@ class TestWordLengthBound:
 
     def test_over_bound_is_unk(self, vocab):
         assert tokenize("a" * 101, vocab).tokens == [UNK]
+
+
+def lines_one_at_a_time(path):
+    """read_lines as it was when it decoded the binary file a line at a time:
+    the oracle for its lines, and for the error that ends them."""
+    lines = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lines, f"{path}:{lineno}: not UTF-8 (byte 0x{raw[exc.start]:02x})"
+            lines.append((lineno, line.removesuffix("\n").removesuffix("\r")))
+    return lines, None
+
+
+def lines_read_whole(path):
+    lines = []
+    try:
+        for item in read_lines(path):
+            lines.append(item)
+    except ValueError as exc:
+        return lines, str(exc)
+    return lines, None
+
+
+# Byte runs that make line ends, blank lines, multi-byte characters (U+2028,
+# a line separator that is not a line end here, among them) and bytes that
+# are not UTF-8: a lone continuation byte, a cut-off sequence, Latin-1 é.
+CHUNKS = [b"a", b"word ", b"\n", b"\r", b"\r\n", "é".encode(), "\u2028".encode(),
+          b"\x80", b"\xe2\x82", b"\xe9"]
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("data", [
+        b"", b"\n", b"\n\n", b"one", b"one\n", b"one\ntwo", b"one\r\ntwo\r\n",
+        b"one\r\n\r\n\r\ntwo", b"lone\rcarriage\n", b"ends\r", b"two\r\r\n",
+        "in\u2028line\nnext\u2029\n".encode(), b"\n\nblank lines first\n\n",
+    ], ids=repr)
+    def test_lines_equal_those_read_a_line_at_a_time(self, tmp_path, data):
+        path = tmp_path / "text.txt"
+        path.write_bytes(data)
+        want, error = lines_one_at_a_time(path)
+        assert error is None
+        assert list(read_lines(path)) == want
+
+    @pytest.mark.parametrize("bad_line", [1, 2, 4])
+    def test_a_bad_byte_ends_the_lines_with_the_same_message(self, tmp_path, bad_line):
+        rows = [b"first", b"second\r", "th\u00efrd".encode(), b"fourth", b"fifth"]
+        rows[bad_line - 1] = b"caf\xe9 " + rows[bad_line - 1]
+        path = tmp_path / "text.txt"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        got, error = lines_read_whole(path)
+        assert (got, error) == lines_one_at_a_time(path)
+        assert len(got) == bad_line - 1
+        assert error == f"{path}:{bad_line}: not UTF-8 (byte 0xe9)"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(CHUNKS), max_size=12))
+    def test_any_bytes_give_the_lines_and_error_of_the_line_reader(self, chunks):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "text.txt")
+            with open(path, "wb") as fh:
+                fh.write(b"".join(chunks))
+            assert lines_read_whole(path) == lines_one_at_a_time(path)
