@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import struct
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -459,7 +460,7 @@ class TransformerModel:
 
 
 # ---------------------------------------------------------------------------
-# versioned binary container: magic, version, JSON header, raw float64 blobs
+# little-endian container: magic, version, JSON header, raw float64 blobs
 
 _MAGIC = b"QGTC"
 _CONTAINER_VERSION = 1
@@ -475,9 +476,7 @@ def write_container(path, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> 
     tmp = str(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(np.uint32(_CONTAINER_VERSION).tobytes())
-            fh.write(np.uint32(len(blob)).tobytes())
+            fh.write(struct.pack("<4sII", _MAGIC, _CONTAINER_VERSION, len(blob)))
             fh.write(blob)
             for _, arr in tensors:  # from the array's own buffer when it is one
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
@@ -496,7 +495,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError(f"{path} is not a checkpoint container")
         if len(prelude) != 12:
             raise ValueError(f"{path}: truncated container header")
-        version, header_len = map(int, np.frombuffer(prelude[4:], dtype=np.uint32))
+        version, header_len = struct.unpack("<II", prelude[4:])
         if version != _CONTAINER_VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
         blob = fh.read(header_len)

@@ -6,9 +6,11 @@ keeps only the arrays its backward rule reads, so an intermediate's array
 is freed once the forward code drops its Tensor. backward() on a scalar
 walks the nodes once in reverse topological order; after the pass only the
 leaves (Parameters and other parentless nodes) and the loss keep a .grad.
-Attention is one fused node. A tensor keeps its data's floating dtype
-(anything else becomes float64), and an op on operands of one dtype computes
-in it, gradients too; shapes are checked up front and mismatches fail loudly.
+A Parameter has no gradient buffer until a pass reaches it or its .grad is
+read, so inference holds none. Attention is one fused node, in place on the
+score arrays it makes. A tensor keeps its data's floating dtype (anything
+else becomes float64), and an op on operands of one dtype computes in it,
+gradients too; shapes are checked up front and mismatches fail loudly.
 """
 
 from __future__ import annotations
@@ -88,18 +90,26 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, trainable tensor. Its gradient always mirrors its shape."""
+    """A named, trainable tensor. Its gradient always mirrors its shape: the
+    first backward pass that reaches it copies one in, and a read before
+    that makes zeros of the data's shape and dtype."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.zero_grad()
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self.node.grad is None:
+            self.node.grad = np.zeros(self.data.shape, self.data.dtype)
+        return self.node.grad
+
+    grad = grad.setter(Tensor.grad.fset)
 
     def zero_grad(self) -> None:
-        # Not zeros_like: np.zeros leaves the pages untouched until written.
-        self.grad = np.zeros(self.data.shape, self.data.dtype)
+        self.node.grad = None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -136,7 +146,7 @@ def backward(loss: Tensor) -> None:
 
     Gradients accumulate into .grad of every reachable leaf (a node without
     parents, such as a Parameter's); Parameters keep whatever was already in
-    .grad (zero them first when starting a fresh pass), and each leaf gets an
+    .grad (zero_grad drops it before a fresh pass), and each leaf gets an
     array of its own. An intermediate node holds its gradient only while the
     pass needs it: after the pass, the loss and the leaves keep .grad and
     every other node's is None. Each closure is dropped once run, so a graph
@@ -194,8 +204,10 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
     out = _result(data, (a, b))
     if out.node is not None:
-        sa, sb = a.shape, b.shape
-        out.node.backward = lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
+        # Nothing is kept or computed for an operand with no node.
+        shapes = [None if t.node is None else t.shape for t in (a, b)]
+        out.node.backward = lambda g: tuple(
+            None if s is None else _unbroadcast(g, s) for s in shapes)
     return out
 
 
@@ -207,10 +219,13 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
     out = _result(data, (a, b))
     if out.node is not None:
-        ad, bd = a.data, b.data
+        # Each operand's array is kept only for the other's gradient.
+        sa, sb = a.shape, b.shape
+        ad = a.data if b.node is not None else None
+        bd = b.data if a.node is not None else None
         out.node.backward = lambda g: (
-            _unbroadcast(g * bd, ad.shape),
-            _unbroadcast(g * ad, bd.shape),
+            None if bd is None else _unbroadcast(g * bd, sa),
+            None if ad is None else _unbroadcast(g * ad, sb),
         )
     return out
 
@@ -288,24 +303,24 @@ def softmax_rows(a) -> Tensor:
     Rejects non-finite input outright instead of emitting NaN downstream.
     """
     a = _as_tensor(a)
-    y = _softmax(a.data, "softmax_rows: input")
+    y = _softmax(a.data.copy(), "softmax_rows: input")
     out = _result(y, (a,))
     if out.node is not None:
-        out.node.backward = lambda g: (_softmax_grad(y, g),)
+        out.node.backward = lambda g: (_softmax_grad(y, g.copy()),)
     return out
 
 
 def _softmax(x: np.ndarray, what: str) -> np.ndarray:
-    """Softmax over the last axis of a finite array, into a new array."""
+    """Softmax over the last axis of a finite array, in place; returns x."""
     top = x.max(axis=-1, keepdims=True)
     # NaN reaches both reductions; +inf shows in the row maxima, -inf in the
     # minimum.
     if x.size and not (np.isfinite(top.max()) and np.isfinite(x.min())):
         raise ValueError(f"{what} contains NaN or infinity")
-    y = x - top
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    return y
+    x -= top
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def log_softmax(rows: np.ndarray, what: str) -> np.ndarray:
@@ -320,8 +335,10 @@ def log_softmax(rows: np.ndarray, what: str) -> np.ndarray:
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient reaching a softmax's input, given its output y and the
-    gradient g reaching y."""
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    gradient g reaching y, written over g; returns g."""
+    g -= (g * y).sum(axis=-1, keepdims=True)
+    g *= y
+    return g
 
 
 def attention(q, k, v, mask=None) -> Tensor:
@@ -331,6 +348,8 @@ def attention(q, k, v, mask=None) -> Tensor:
     mask, if given, is a constant added to the raw scores (large negative
     entries forbid positions); no gradient flows into it. The node keeps the
     probabilities (not the scores) and the operands' arrays for its backward.
+    The scores become the probabilities in place, the score gradient is
+    formed in place on g v^T, and no array passed in is written.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qd, kd, vd = q.data, k.data, v.data
@@ -344,14 +363,18 @@ def attention(q, k, v, mask=None) -> Tensor:
     if mask is not None:
         mask = _as_tensor(mask).data
         try:
-            scores = scores + mask
+            # In place unless that would change the sum's shape or dtype.
+            if (np.broadcast_shapes(scores.shape, mask.shape) == scores.shape
+                    and np.can_cast(mask.dtype, scores.dtype)):
+                scores += mask
+            else:
+                scores = scores + mask
         except ValueError:
             raise ShapeError(
                 f"attention: mask {mask.shape} does not broadcast to scores "
                 f"{scores.shape}"
             ) from None
     probs = _softmax(scores, "attention: score matrix")
-    del scores
     out = _result(probs @ vd, (q, k, v))
     if out.node is not None:
         def _bw(g):
@@ -491,10 +514,10 @@ def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    keep = (rng.random(a.shape) >= rate) / a.data.dtype.type(1.0 - rate)
-    out = _result(a.data * keep, (a,))
-    if out.node is not None:
-        out.node.backward = lambda g: (g * keep,)
+    kept, scale = rng.random(a.shape) >= rate, a.data.dtype.type(1.0 - rate)
+    out = _result(a.data * (kept / scale), (a,))
+    if out.node is not None:  # keeps the boolean mask, not the scaled one
+        out.node.backward = lambda g: (g * (kept / scale),)
     return out
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -339,6 +340,48 @@ class TestFusedAttentionInModel:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+class TestGradientBuffers:
+    """A Parameter's gradient buffer is made by the first backward pass that
+    reaches it, or by the first read of .grad: inference makes none."""
+
+    def test_inference_makes_no_gradient_buffer(self, tmp_path):
+        path = tmp_path / "m.bin"
+        TransformerModel(small_config(), seed=21).save(path)
+        model = TransformerModel.load(path)
+        assert beam_search(model, [4, 5, 6], GenerationConfig(beam_width=3, max_length=5))
+        assert all(p.node.grad is None for p in model.parameters())
+        for p in model.parameters():
+            assert p.grad.shape == p.data.shape and p.grad.dtype == p.data.dtype
+            assert not p.grad.any()
+
+    def test_passes_accumulate_as_into_zero_buffers(self):
+        cfg = small_config(dropout=0.1)
+        rng = np.random.default_rng(22)
+        src = rng.integers(4, 16, size=(3, 6))
+        tgt = rng.integers(4, 16, size=(3, 4))
+        dec_in = np.concatenate([np.full((3, 1), cfg.bos_id), tgt[:, :-1]], axis=1)
+
+        def two_passes(zero):
+            model = TransformerModel(cfg, seed=23)
+            model.parameters()[0].grad  # a read before the passes makes zeros
+            zero(model)
+            for seed in (24, 25):
+                logits = model.forward(src, dec_in, rng=np.random.default_rng(seed))
+                backward(cross_entropy_with_logits(logits, tgt, pad_id=cfg.pad_id))
+            return [p.grad for p in model.parameters()]
+
+        def explicit_zeros(model):
+            for p in model.parameters():
+                p.grad = np.zeros_like(p.data)
+
+        def dropped(model):
+            model.zero_grads()
+            assert all(p.node.grad is None for p in model.parameters())
+
+        for got, want in zip(two_passes(dropped), two_passes(explicit_zeros)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestConfigValidation:
     def test_heads_must_divide_width(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -530,6 +573,25 @@ class TestCheckpoint:
         assert meta == {"kind": "test"}
         np.testing.assert_array_equal(arrays["a"], tensors[0][1])
         np.testing.assert_array_equal(arrays["b"], tensors[1][1])
+
+    def test_container_header_numbers_are_little_endian(self, tmp_path):
+        """The version and header length are '<u4' whatever the host's byte
+        order, as the tensors are '<f8'."""
+        values = np.arange(6.0).reshape(2, 3)
+        blob = json.dumps({"meta": {"kind": "test"},
+                           "tensors": [{"name": "w", "shape": [2, 3]}]}).encode("utf-8")
+        path = tmp_path / "c.bin"
+        path.write_bytes(struct.pack("<4sII", b"QGTC", 1, len(blob)) + blob
+                         + values.astype("<f8").tobytes())
+        meta, arrays = read_container(path)
+        assert meta == {"kind": "test"}
+        np.testing.assert_array_equal(arrays["w"], values)
+        write_container(path, meta, [("w", values)])
+        data = path.read_bytes()
+        magic, version, n = struct.unpack("<4sII", data[:12])
+        assert (magic, version) == (b"QGTC", 1)
+        assert json.loads(data[12:12 + n])["meta"] == meta
+        assert data[12 + n:] == values.astype("<f8").tobytes()
 
     def test_container_bytes_are_the_tobytes_layout(self, tmp_path):
         """Each array is stored as np.ascontiguousarray(a, "<f8").tobytes(),

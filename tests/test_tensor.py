@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from qgen.model import ModelConfig, TransformerModel
 from qgen.tensor import (
     Parameter,
     ShapeError,
@@ -476,6 +477,69 @@ class TestFusedAttention:
             attention(q, k, v, np.zeros((3, 4)))
 
 
+def _sum_to(x, shape):
+    """x summed down to shape over the axes numpy broadcasting added."""
+    x = x.sum(axis=tuple(range(x.ndim - len(shape))))
+    ones = tuple(i for i, n in enumerate(shape) if n == 1 and x.shape[i] != 1)
+    return x.sum(axis=ones, keepdims=True) if ones else x
+
+
+def out_of_place_attention(q, k, v, mask, g):
+    """The fused node's output and gradients, each step into a new array."""
+    scale = float(1.0 / np.sqrt(q.shape[-1]))
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    probs = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+    gp = g @ np.swapaxes(v, -1, -2)
+    gs = (probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))) * scale
+    return (probs @ v, _sum_to(gs @ k, q.shape),
+            _sum_to(np.swapaxes(gs, -1, -2) @ q, k.shape),
+            _sum_to(np.swapaxes(probs, -1, -2) @ g, v.shape))
+
+
+# (name, q/k/v leading shape, mask shape or None, mask dtype or None for q's)
+IN_PLACE_CASES = [
+    ("no_mask", (2, 3), None, None),
+    ("pad_mask", (2, 3), (2, 1, 1, 5), None),
+    ("causal_mask", (2, 3), (4, 5), None),
+    ("mask_broadcasts_larger", (3,), (2, 1, 4, 5), None),
+    ("float64_mask", (2, 3), (2, 1, 1, 5), np.float64),
+]
+
+
+class TestAttentionInPlace:
+    """attention works in place only on arrays it made: the operands, the
+    mask and the incoming gradient stay as they were, and every result equals
+    the out-of-place formula bit for bit, fallbacks included."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name,lead,mask_shape,mask_dtype", IN_PLACE_CASES,
+                             ids=[c[0] for c in IN_PLACE_CASES])
+    def test_writes_into_no_array_it_is_given(self, name, lead, mask_shape,
+                                              mask_dtype, dtype):
+        rng = np.random.default_rng(30)
+        q, k, v = (rng.normal(size=(*lead, m, n)).astype(dtype)
+                   for m, n in ((4, 6), (5, 6), (5, 3)))
+        mask = None
+        if mask_shape is not None:
+            mask = np.where(rng.random(mask_shape) < 0.3, -1e9, 0.0)
+            mask[..., 0] = 0.0
+            mask = mask.astype(mask_dtype or dtype)
+        given = [a for a in (q, k, v, mask) if a is not None]
+        before = [a.copy() for a in given]
+        out = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), mask)
+        g = rng.normal(size=out.shape).astype(out.data.dtype)
+        g_before = g.copy()
+        got = [out.data, *out.node.backward(g)]
+        for a, b in zip(given + [g], before + [g_before]):
+            np.testing.assert_array_equal(a, b)
+        for x, want in zip(got, out_of_place_attention(q, k, v, mask, g)):
+            assert x.dtype == want.dtype and x.shape == want.shape
+            np.testing.assert_array_equal(x, want)
+
+
 class TestMatmulWeightGradient:
     """An N-d x 2-d product's weight gradient is the sum of the per-slice
     products a_i^T g_i over every leading index i."""
@@ -579,3 +643,87 @@ class TestRetention:
         backward(cross_entropy_with_logits(kept[-1], ref[5]))
         for got, want in zip((x, y, gain, bias, w), ref):
             np.testing.assert_array_equal(got.grad, want.grad)
+
+
+def _owner(a):
+    """The array that owns a's memory (a itself unless a is a view)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+class TestRecordedGraphHolds:
+    """A training forward pass records only the arrays its rules read, seen
+    the way a closure keeps them: through its cells."""
+
+    B, S, T, D, H, FF, V = 3, 7, 5, 8, 2, 16, 16  # batch, lengths, widths, vocab
+
+    def _graph(self):
+        cfg = ModelConfig(vocab_size=self.V, d_model=self.D, num_heads=self.H,
+                          enc_layers=2, dec_layers=2, d_ff=self.FF, max_positions=16,
+                          dropout=0.25, pad_id=0, bos_id=2, eos_id=3)
+        model = TransformerModel(cfg, seed=19)
+        rng = np.random.default_rng(20)
+        src = rng.integers(4, self.V, size=(self.B, self.S))
+        dec_in = rng.integers(4, self.V, size=(self.B, self.T))
+        tgt = rng.integers(4, self.V, size=(self.B, self.T))
+        logits = model.forward(src, dec_in, rng=np.random.default_rng(21))
+        loss = cross_entropy_with_logits(logits, tgt, pad_id=0)
+        held = []  # (rule name, node, arrays in its closure)
+        seen, stack = set(), [loss.node]
+        while stack:
+            node = stack.pop()
+            if node is None or id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if node.backward is not None:
+                cells = [c.cell_contents for c in node.backward.__closure__ or ()]
+                arrays = [c for c in cells if isinstance(c, np.ndarray)]
+                held.append((node.backward.__qualname__.split(".")[0], node, arrays))
+        params = {id(_owner(p.data)) for p in model.parameters()}
+        return held, params
+
+    def test_dropout_keeps_a_boolean_mask(self):
+        held, _ = self._graph()
+        masks = [arrays for rule, _, arrays in held if rule == "dropout"]
+        assert len(masks) == 2 + 2 * 2 + 3 * 2  # embeddings, encoder, decoder layers
+        for arrays in masks:
+            assert [a.dtype for a in arrays] == [np.dtype(bool)]
+
+    def test_mul_and_add_keep_nothing_for_a_constant(self):
+        held, _ = self._graph()
+        constant = [(rule, arrays) for rule, node, arrays in held
+                    if rule in ("mul", "add") and None in node.parents]
+        # x * sqrt(d) and x + positions, for the encoder and the decoder
+        assert sorted(rule for rule, _ in constant) == ["add", "add", "mul", "mul"]
+        for rule, arrays in constant:
+            assert all(a.size <= 1 for a in arrays), rule
+
+    def test_total_bytes_held(self):
+        held, params = self._graph()
+        owners = {id(_owner(a)): _owner(a) for _, _, arrays in held for a in arrays}
+        got = sum(a.nbytes for key, a in owners.items() if key not in params)
+        B, S, T, D, H, FF, V = self.B, self.S, self.T, self.D, self.H, self.FF, self.V
+        f, n = 8, 8  # float64 values, int64 ids
+        def norm(m):
+            """A layer norm's x-hat and inverse deviations, and its output,
+            which the products reading it keep."""
+            return f * (2 * m * D + m)
+
+        # Attention keeps its probabilities and the packed q, k and v.
+        encoder = (norm(B * S)
+                   + f * B * H * S * S + 3 * f * B * S * D  # probabilities, q k v
+                   + f * B * S * D + B * S * D       # merged heads, dropout mask
+                   + norm(B * S) + f * B * S * FF + B * S * D)  # ln2, relu, mask
+        decoder = (norm(B * T) + f * B * H * T * T + 3 * f * B * T * D
+                   + f * B * T * D + B * T * D       # self-attention
+                   + norm(B * T) + f * B * H * T * S + f * B * T * D
+                   + 2 * f * B * S * D + f * B * T * D + B * T * D  # cross-attention
+                   + norm(B * T) + f * B * T * FF + B * T * D)  # feed-forward
+        want = (n * B * S + f + B * S * D            # ids, sqrt(d), dropout mask
+                + 2 * encoder + norm(B * S)          # layers, final norm + output
+                + n * B * T + f + B * T * D
+                + 2 * decoder + norm(B * T)
+                + f * B * T * V + 2 * n * B * T + B * T)  # log-probs, targets, valid
+        assert got == want
