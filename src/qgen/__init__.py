@@ -12,7 +12,6 @@ from .evaluation import (
     corpus_report,
     edit_alignment,
     first_word_frequency,
-    wer_normalized,
     word_count_histogram,
 )
 from .generation import (
@@ -46,7 +45,7 @@ from .squad import (
     load_squad,
     select_answer,
 )
-from .tensor import Parameter, Tensor, backward, check_gradients, no_grad
+from .tensor import Parameter, Tensor, backward, no_grad
 from .training import TrainConfig, TrainState, train, train_step
 from .wordpiece import (
     TokenSequence,

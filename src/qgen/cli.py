@@ -30,6 +30,7 @@ from .squad import (
     load_squad,
     read_json,
     read_jsonl,
+    replacing,
     save_examples,
     write_json,
 )
@@ -185,7 +186,7 @@ def _model_config(cfg: dict, vocab) -> ModelConfig:
 
 
 def _write_jsonl(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 

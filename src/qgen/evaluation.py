@@ -115,13 +115,6 @@ def edit_alignment(ref_words: list[str], hyp_words: list[str]) -> EditAlignment:
     return EditAlignment(s, d + i, ins + j, c)
 
 
-def wer_normalized(alignment: EditAlignment) -> float:
-    """(S + D + I) / N where N is the reference word count."""
-    if alignment.ref_len == 0:
-        raise ValueError("normalized rate undefined for an empty reference")
-    return alignment.distance / alignment.ref_len
-
-
 def wer_tokenize(text: str) -> list[str]:
     """Lowercase and split on whitespace with punctuation as separate words."""
     return split_words(text.lower())

@@ -19,6 +19,8 @@ from functools import partial
 
 import numpy as np
 
+from .squad import replacing
+
 # concat_last and softmax_rows are not called here. They stay imported because
 # the benchmark's traced runs wrap tensor ops where this module looks them up
 # (perfbench/layers.py: qgen.model:<op>).
@@ -473,17 +475,11 @@ def write_container(path, meta: dict, tensors: list[tuple[str, np.ndarray]]) -> 
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in tensors],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = str(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(struct.pack("<4sII", _MAGIC, _CONTAINER_VERSION, len(blob)))
-            fh.write(blob)
-            for _, arr in tensors:  # from the array's own buffer when it is one
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing(path, "wb") as fh:
+        fh.write(struct.pack("<4sII", _MAGIC, _CONTAINER_VERSION, len(blob)))
+        fh.write(blob)
+        for _, arr in tensors:  # from the array's own buffer when it is one
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -4,6 +4,7 @@ examples into padded length buckets."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -170,20 +171,28 @@ def _json_text(value, indent: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write_json(path, doc) -> None:
-    """doc as JSON (sorted keys, indent 2, a trailing newline), written to
-    path.tmp and moved onto path: path holds the old document or the new.
-    The bytes are those of json.dumps(doc, sort_keys=True, indent=2), and
-    a key that is not a string raises TypeError."""
-    text = _json_text(doc, "") + "\n"
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """A file opened as path.tmp (UTF-8 in text mode) and moved onto path
+    when the block ends without an exception: path holds the old contents or
+    the new, and path.tmp does not outlive the block."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_json(path, doc) -> None:
+    """doc as JSON (sorted keys, indent 2, a trailing newline), written
+    through replacing. The bytes are those of json.dumps(doc, sort_keys=True,
+    indent=2), and a key that is not a string raises TypeError."""
+    text = _json_text(doc, "") + "\n"
+    with replacing(path) as fh:
+        fh.write(text)
 
 
 def load_squad(path) -> list[SquadRecord]:
@@ -298,9 +307,9 @@ def bucket_by_length(
 
 
 def save_examples(examples: list[InvertedExample], path) -> None:
-    """Write the example cache as versioned JSON lines."""
+    """Write the example cache as versioned JSON lines, through replacing."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps({"format": CACHE_FORMAT, "version": CACHE_VERSION}) + "\n")
         for ex in examples:
             row = {"id": ex.question_id, "input_ids": ex.input_ids, "target_ids": ex.target_ids}

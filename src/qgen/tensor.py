@@ -231,34 +231,25 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast.
+    """Product of a's last axis with a 2-d right operand (a weight).
 
-    A 2-d right operand (a weight) meets all leading rows of a in one GEMM
-    instead of one product per leading index; so do the gradients of a and
-    of the weight.
+    All leading rows of a meet the weight in one GEMM instead of one product
+    per leading index; so do the gradients of a and of the weight.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if ad.ndim < 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul needs a >=2-d left and a 2-d right operand, "
+                         f"got {a.shape} and {b.shape}")
+    k, n = bd.shape
+    if a.shape[-1] != k:
         raise ShapeError(f"matmul: inner dimensions differ for {a.shape} x {b.shape}")
-    if bd.ndim == 2:
-        k, n = bd.shape
-        data = (ad.reshape(-1, k) @ bd).reshape(*ad.shape[:-1], n)
-    else:
-        data = ad @ bd
-    out = _result(data, (a, b))
+    out = _result((ad.reshape(-1, k) @ bd).reshape(*ad.shape[:-1], n), (a, b))
     if out.node is not None:
-        def _bw(g):
-            if bd.ndim == 2:
-                ga = (g.reshape(-1, n) @ bd.T).reshape(ad.shape)
-                gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
-            else:
-                ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-            return ga, gb
-        out.node.backward = _bw
+        out.node.backward = lambda g: (
+            (g.reshape(-1, n) @ bd.T).reshape(ad.shape),
+            ad.reshape(-1, k).T @ g.reshape(-1, n),
+        )
     return out
 
 
@@ -519,40 +510,3 @@ def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
     if out.node is not None:  # keeps the boolean mask, not the scaled one
         out.node.backward = lambda g: (g * (kept / scale),)
     return out
-
-
-# ---------------------------------------------------------------------------
-# numerical gradient checking
-
-
-def check_gradients(f: Callable[[], Tensor], p: Parameter, step: float = 1e-5) -> float:
-    """Compare backward() against central finite differences for one Parameter.
-
-    f must be a deterministic closure over p returning a scalar Tensor.
-    Returns the maximum relative error
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-12) over all entries.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    probe1, probe2 = f(), f()
-    if probe1.shape != probe2.shape or not np.array_equal(probe1.data, probe2.data):
-        raise ValueError("check_gradients: f is not deterministic across evaluations")
-    if probe1.data.size != 1:
-        raise ShapeError(f"check_gradients: f must return a scalar, got {probe1.shape}")
-    p.zero_grad()
-    backward(f())
-    analytic = p.grad.copy()
-    numeric = np.zeros_like(analytic)
-    flat_value = p.data.ravel()
-    flat_numeric = numeric.ravel()
-    with no_grad():
-        for i in range(flat_value.size):
-            saved = flat_value[i]
-            flat_value[i] = saved + step
-            f_plus = f().item()
-            flat_value[i] = saved - step
-            f_minus = f().item()
-            flat_value[i] = saved
-            flat_numeric[i] = (f_plus - f_minus) / (2.0 * step)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import (ModelConfig, TransformerModel, join_head_blocks, read_container,
                     stored_array, write_container)
-from .squad import Bucket, read_json, write_json
+from .squad import Bucket, read_json, replacing, write_json
 from .tensor import ShapeError, backward, cross_entropy_with_logits, no_grad
 
 ADAM_BETA1 = 0.9
@@ -388,14 +388,8 @@ def _truncate_log(path, step: int) -> None:
             except ValueError:
                 break
             kept.append(line)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(kept)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing(path) as fh:
+        fh.writelines(kept)
 
 
 def teacher_forced_accuracy(model: TransformerModel, buckets: list[Bucket]) -> float:

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import DATA_DIR
 from corpus_fixtures import SUPER_BOWL_PASSAGE, SUPER_BOWL_TAGGED, WER_PAIRS
+from gradcheck import check_gradients
 from test_generation import TableModel, enumerate_best, reference_greedy, small_model
 from test_model import naive_attention
 
@@ -29,7 +30,7 @@ from qgen.model import (
 )
 from qgen.preprocess import tagged_wordpieces
 from qgen.squad import bucket_by_length, invert, load_squad
-from qgen.tensor import Tensor, check_gradients, cross_entropy_with_logits
+from qgen.tensor import Tensor, cross_entropy_with_logits
 from qgen.training import TrainConfig, TrainState, teacher_forced_accuracy, train_step
 from qgen.wordpiece import UNK, TokenSequence, detokenize, tokenize
 

@@ -359,6 +359,45 @@ class TestEvaluateErrors:
         assert sorted(f.name for f in out.iterdir()) == [
             "report.csv", "report.json", "report.txt"]
 
+    def test_failed_cache_write_keeps_the_previous_cache(self, tmp_path, monkeypatch,
+                                                         capsys):
+        from qgen import squad
+
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("previous\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise OSError(f"cannot move {src}")
+
+        monkeypatch.setattr(squad.os, "replace", refuse)
+        code, _, _ = run_preprocess(tmp_path)
+        assert code == EXIT_IO
+        assert f"cannot move {cache}.tmp" in capsys.readouterr().err
+        assert cache.read_text(encoding="utf-8") == "previous\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cache.jsonl"]
+
+    def test_failed_generate_write_keeps_the_previous_output(self, tmp_path, monkeypatch,
+                                                             capsys, vocab):
+        from qgen import squad
+
+        save_small_checkpoint(tmp_path / "out", vocab)
+        gen_in = write_jsonl(tmp_path / "in.jsonl", [
+            {"id": "g0", "passage": "The gold was found in Warsaw.", "answer": "gold"}])
+        gen_out = tmp_path / "gen_out.jsonl"
+        gen_out.write_text("previous\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise OSError(f"cannot move {src}")
+
+        monkeypatch.setattr(squad.os, "replace", refuse)
+        argv = ["generate", "--paths.out_dir", str(tmp_path / "out"),
+                "--generate.max_length", "4", str(gen_in), str(gen_out)]
+        assert main(argv) == EXIT_IO
+        assert f"cannot move {gen_out}.tmp" in capsys.readouterr().err
+        assert gen_out.read_text(encoding="utf-8") == "previous\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "gen_out.jsonl", "in.jsonl", "out"]
+
 
 class TestExitCodeMapping:
     def test_numerical_failure_exits_4(self, monkeypatch, tmp_path, capsys):

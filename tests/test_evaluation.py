@@ -18,7 +18,6 @@ from qgen.evaluation import (
     edit_distance,
     first_word_frequency,
     question_distance,
-    wer_normalized,
     wer_tokenize,
     word_count_histogram,
 )
@@ -177,25 +176,10 @@ class TestEditDistance:
                  for k, (ref, hyp) in enumerate(word_pairs)]
         for record, (_, ref, hyp) in zip(corpus_report(pairs).pairs, pairs):
             alignment = question_distance(ref, hyp)
-            normalized = (wer_normalized(alignment) if alignment.ref_len
+            normalized = (alignment.distance / alignment.ref_len if alignment.ref_len
                           else float(alignment.distance > 0))
             assert (record.distance, record.normalized, record.ref_len, record.hyp_len) \
                 == (alignment.distance, normalized, alignment.ref_len, alignment.hyp_len)
-
-
-class TestWerNormalized:
-    def test_zero_distance(self):
-        assert wer_normalized(EditAlignment(0, 0, 0, 4)) == 0.0
-
-    def test_simple_rate(self):
-        assert wer_normalized(EditAlignment(1, 0, 0, 7)) == pytest.approx(0.125)
-
-    def test_distance_eight_over_ten(self):
-        assert wer_normalized(EditAlignment(5, 3, 0, 2)) == pytest.approx(0.8)
-
-    def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError, match="undefined"):
-            wer_normalized(EditAlignment(0, 0, 3, 0))
 
 
 class TestWerTokenize:

@@ -23,10 +23,10 @@ from qgen.tensor import (
     ShapeError,
     Tensor,
     backward,
-    check_gradients,
     cross_entropy_with_logits,
     no_grad,
 )
+from gradcheck import check_gradients
 from test_tensor import composed_attention
 
 

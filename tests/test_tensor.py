@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -9,10 +10,10 @@ from qgen.tensor import (
     Parameter,
     ShapeError,
     Tensor,
+    _result,
     add,
     attention,
     backward,
-    check_gradients,
     concat_last,
     cross_entropy_with_logits,
     dropout,
@@ -27,6 +28,7 @@ from qgen.tensor import (
     swap_axes,
     transpose,
 )
+from gradcheck import check_gradients
 
 
 def total(t):
@@ -74,6 +76,12 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\) x \(2, 3\)"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("right", [(2, 3, 4), (2, 2, 3, 4)], ids=["3d", "4d"])
+    def test_right_operand_must_be_2d(self, right):
+        left = (2, 5, 3)
+        with pytest.raises(ShapeError, match=re.escape(f"{left} and {right}")):
+            matmul(Tensor(np.ones(left)), Tensor(np.ones(right)))
 
     def test_batched_broadcast(self):
         rng = np.random.default_rng(1)
@@ -380,13 +388,51 @@ class TestRandomizedShapeGradients:
             assert check_gradients(f, target, step=1e-5) < 1e-4
 
 
+def _sum_to(x, shape):
+    """x summed down to shape over the axes numpy broadcasting added."""
+    x = x.sum(axis=tuple(range(x.ndim - len(shape))))
+    ones = tuple(i for i, n in enumerate(shape) if n == 1 and x.shape[i] != 1)
+    return x.sum(axis=ones, keepdims=True) if ones else x
+
+
+def batched_matmul(a, b):
+    """a @ b over the last two axes with leading axes broadcast, as a node
+    written here: qgen's matmul takes only a 2-d right operand."""
+    ad, bd = a.data, b.data
+    out = _result(ad @ bd, (a, b))
+    if out.node is not None:
+        out.node.backward = lambda g: (
+            _sum_to(g @ np.swapaxes(bd, -1, -2), ad.shape),
+            _sum_to(np.swapaxes(ad, -1, -2) @ g, bd.shape),
+        )
+    return out
+
+
+def plain_softmax(x):
+    """Softmax over the last axis as a node written here, forward and
+    backward in plain numpy."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = _result(y, (x,))
+    if out.node is not None:
+        out.node.backward = lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+    return out
+
+
 def composed_attention(q, k, v, mask=None):
-    """Scaled dot-product attention as a chain of primitive nodes: the graph
-    the fused attention node replaces, kept as its oracle."""
-    scores = mul(matmul(q, transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
+    """Scaled dot-product attention as a chain of nodes, the fused attention
+    node's oracle. Its product and softmax are written above, so they share
+    no code with the node they check."""
+    scores = mul(batched_matmul(q, transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
         scores = add(scores, mask)
-    return matmul(softmax_rows(scores), v)
+    return batched_matmul(plain_softmax(scores), v)
+
+
+def softmax_of_scores(q, k, v, mask):
+    """softmax_rows called directly on the masked attention scores."""
+    scores = q.data @ np.swapaxes(k.data, -1, -2) / np.sqrt(q.shape[-1])
+    return softmax_rows(Tensor(scores + mask.data))
 
 
 def _pad_mask(rng, b, m):
@@ -458,7 +504,7 @@ class TestFusedAttention:
         with pytest.raises(ValueError, match="NaN or infinity"):
             attention(q, k, v)
 
-    @pytest.mark.parametrize("op", [attention, composed_attention],
+    @pytest.mark.parametrize("op", [attention, softmax_of_scores],
                              ids=["attention", "softmax_rows"])
     @pytest.mark.parametrize("damage", ["nan_in_q", "neg_inf_in_mask"])
     def test_rejects_other_non_finite_scores(self, op, damage):
@@ -475,13 +521,6 @@ class TestFusedAttention:
         _, q, k, v, _ = self._operands(14, 3, 5)
         with pytest.raises(ShapeError, match="mask"):
             attention(q, k, v, np.zeros((3, 4)))
-
-
-def _sum_to(x, shape):
-    """x summed down to shape over the axes numpy broadcasting added."""
-    x = x.sum(axis=tuple(range(x.ndim - len(shape))))
-    ones = tuple(i for i, n in enumerate(shape) if n == 1 and x.shape[i] != 1)
-    return x.sum(axis=ones, keepdims=True) if ones else x
 
 
 def out_of_place_attention(q, k, v, mask, g):
