@@ -56,9 +56,7 @@ def main():
         bucket = occupied[int(state.rng.choice(len(occupied), p=weights))]
         idx = state.rng.choice(len(bucket), size=tcfg.batch_size,
                                replace=len(bucket) < tcfg.batch_size)
-        batch = (bucket.input_matrix(idx, cfg.pad_id),
-                 bucket.target_matrix(idx, cfg.pad_id), "demo")
-        value, _ = train_step(model, batch, state, tcfg)
+        value, _ = train_step(model, bucket.batch(idx, cfg.pad_id), state, tcfg)
         if state.step % 40 == 0:
             print(f"  step {state.step:4d}  loss {value:.4f}")
     print(f"trained {STEPS} steps in {time.perf_counter() - started:.0f}s; "

@@ -292,9 +292,10 @@ def cmd_evaluate(cfg: dict, refs_path: str, hyps_path: str) -> int:
     out_dir = cfg["paths.out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "report.json"), report.to_json_dict())
-    report.write_csv(os.path.join(out_dir, "report.csv"))
+    with replacing(os.path.join(out_dir, "report.csv"), newline="") as fh:
+        report.write_csv(fh)
     text = report.to_text()
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+    with replacing(os.path.join(out_dir, "report.txt")) as fh:
         fh.write(text)
     print(text, end="")
     return EXIT_OK

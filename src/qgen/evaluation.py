@@ -212,18 +212,18 @@ class CorpusReport:
                      f"reference {self.ref_word_mean:.2f}")
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+    def write_csv(self, fh) -> None:
+        """The pairs as CSV rows after a header, to fh (opened with newline="")."""
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["id", "distance", "normalized", "ref_len", "hyp_len",
+             "first_word_ref", "first_word_hyp"]
+        )
+        for p in self.pairs:
             writer.writerow(
-                ["id", "distance", "normalized", "ref_len", "hyp_len",
-                 "first_word_ref", "first_word_hyp"]
+                [p.question_id, p.distance, f"{p.normalized:.6f}",
+                 p.ref_len, p.hyp_len, p.first_word_ref, p.first_word_hyp]
             )
-            for p in self.pairs:
-                writer.writerow(
-                    [p.question_id, p.distance, f"{p.normalized:.6f}",
-                     p.ref_len, p.hyp_len, p.first_word_ref, p.first_word_hyp]
-                )
 
 
 def corpus_report(pairs: list[tuple[str, str, str]]) -> CorpusReport:

@@ -236,14 +236,11 @@ class _DecoderLayer:
         self.rate = cfg.dropout
 
     def __call__(self, x, enc_out, self_mask, cross_mask, rng, cache, index) -> Tensor:
-        """cache, if given, holds this layer's keys and values under index;
-        the new rows' self-attention keys and values are appended to it."""
+        """cache holds this layer's keys and values under index; the new
+        rows' self-attention keys and values are appended to it."""
         h = self.ln1(x)
-        if cache is None:
-            self_kv, cross_kv = None, self.cross_attn.keys_values(enc_out)
-        else:
-            self_kv = cache.extend(index, *self.self_attn.keys_values(h))
-            cross_kv = cache.cross(index, self.cross_attn, enc_out)
+        self_kv = cache.extend(index, *self.self_attn.keys_values(h))
+        cross_kv = cache.cross(index, self.cross_attn, enc_out)
         x = add(x, dropout(multi_head(h, self.self_attn, self_mask, self_kv),
                            self.rate, rng))
         x = add(x, dropout(multi_head(self.ln2(x), self.cross_attn, cross_mask, cross_kv),
@@ -256,14 +253,15 @@ def _grow(old: np.ndarray | None, new: np.ndarray, axis: int) -> np.ndarray:
 
 
 class DecodeCache:
-    """What incremental decoding carries from one decode call to the next.
+    """What a decoder pass carries from one decode call to the next.
 
     Per decoded row (beam): each decoder layer's self-attention keys and
     values so far, and the additive mask hiding the [PAD] ones among them.
-    Shared by every row: each decoder layer's cross-attention keys and
-    values, projected once from the encoder output of the first call (one
-    source, broadcast over the rows). length counts the decoded positions.
-    The cache serves inference; gradients do not flow through it.
+    Per source: each decoder layer's cross-attention keys and values,
+    projected once from the encoder output of the first call; one source is
+    broadcast over every row, and otherwise row i reads source i. length
+    counts the decoded positions. A cache made for one call keeps that
+    call's graph; what later calls read from it is constant.
     """
 
     def __init__(self):
@@ -273,7 +271,10 @@ class DecodeCache:
         self.cross_kv: dict[int, tuple[Tensor, Tensor]] = {}
 
     def select(self, rows) -> None:
-        """Keep these rows, in this order; a row may repeat or be dropped."""
+        """Keep these rows, in this order; a row may repeat or be dropped.
+        The rows must share one source."""
+        if any(k.shape[0] != 1 for k, _ in self.cross_kv.values()):
+            raise ShapeError("DecodeCache.select needs the rows of one source")
         rows = np.asarray(rows, dtype=np.int64)
         if self.pad_mask is not None:
             self.pad_mask = self.pad_mask[rows]
@@ -281,20 +282,17 @@ class DecodeCache:
 
     def extend(self, layer: int, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
         """Append the new rows' keys and values (rows, h, t_new, d_head) of
-        one layer; return that layer's keys and values for every position."""
+        one layer; return that layer's keys and values for every position:
+        on the layer's first call the Tensors given, later a constant."""
         old_k, old_v = self.self_kv.get(layer, (None, None))
         k, v = _grow(old_k, keys.data, -2), _grow(old_v, values.data, -2)
         self.self_kv[layer] = k, v
-        return Tensor(k), Tensor(v)
+        return (keys, values) if old_k is None else (Tensor(k), Tensor(v))
 
     def cross(self, layer: int, params: MultiHeadParams, enc_out) -> tuple[Tensor, Tensor]:
         """One layer's cross-attention keys and values, projected from
-        enc_out on first use; enc_out holds one source, (1, m, d_model)."""
+        enc_out (sources, m, d_model) on first use."""
         if layer not in self.cross_kv:
-            if enc_out.shape[0] != 1:
-                raise ShapeError(
-                    f"DecodeCache holds one source, got encoder output {enc_out.shape}"
-                )
             self.cross_kv[layer] = params.keys_values(enc_out)
         return self.cross_kv[layer]
 
@@ -399,23 +397,23 @@ class TransformerModel:
 
     def decode(self, enc_out: Tensor, src_ids: np.ndarray, dec_input_ids, rng=None,
                cache: DecodeCache | None = None) -> Tensor:
-        """Teacher-forced decoder pass producing next-token logits.
+        """Decoder pass producing next-token logits, through a DecodeCache.
 
-        Decoder self-attention is causally masked; [PAD] positions of both
-        streams are hidden as attention keys. With a cache, dec_input_ids
-        holds only the new tokens of each row, (k, t_new): they take the
-        positions after the cache's length, attend to every earlier position
-        of their row through the cache, and are appended to it. The logits
-        are the new tokens' only, (k, t_new, V).
+        dec_input_ids holds the new tokens of each row, (k, t_new): they take
+        the positions after the cache's length, attend to every earlier
+        position of their row through the cache, and are appended to it; the
+        logits are theirs, (k, t_new, V). Without a cache, the pass runs on a
+        fresh one, so it is teacher-forced from position 0 and keeps its
+        graph. Decoder self-attention is causally masked; [PAD] positions of
+        both streams are hidden as attention keys.
         """
         dec_ids, squeeze = self._as_batch(dec_input_ids)
-        start = 0 if cache is None else cache.length
+        cache = DecodeCache() if cache is None else cache
+        start = cache.length
         self._check_ids(dec_ids, "decoder input", start)
         t = dec_ids.shape[-1]
-        pad_mask = self._pad_mask(dec_ids)
-        if cache is not None:
-            cache.pad_mask = pad_mask = _grow(cache.pad_mask, pad_mask, -1)
-            cache.length += t
+        cache.pad_mask = pad_mask = _grow(cache.pad_mask, self._pad_mask(dec_ids), -1)
+        cache.length += t
         # A single new position sees every earlier one: its causal mask is 0.
         self_mask = pad_mask if t == 1 else self._causal_mask(t, start) + pad_mask
         cross_mask = self._pad_mask(src_ids)

@@ -56,21 +56,26 @@ class Bucket:
     def __len__(self) -> int:
         return len(self.examples)
 
-    def _padded(self, rows: list[list[int]], width: int, pad_id: int) -> np.ndarray:
-        out = np.full((len(rows), width), pad_id, dtype=np.int64)
+    @property
+    def label(self) -> str:
+        return f"{self.max_input}x{self.max_target}"
+
+    def _padded(self, rows: list[list[int]], pad_id: int) -> np.ndarray:
+        out = np.full((len(rows), max(map(len, rows), default=0)), pad_id, np.int64)
         for i, row in enumerate(rows):
             out[i, : len(row)] = row
         return out
 
     def input_matrix(self, indices, pad_id: int) -> np.ndarray:
-        return self._padded(
-            [self.examples[i].input_ids for i in indices], self.max_input, pad_id
-        )
+        return self._padded([self.examples[i].input_ids for i in indices], pad_id)
 
     def target_matrix(self, indices, pad_id: int) -> np.ndarray:
-        return self._padded(
-            [self.examples[i].target_ids for i in indices], self.max_target, pad_id
-        )
+        return self._padded([self.examples[i].target_ids for i in indices], pad_id)
+
+    def batch(self, indices, pad_id: int) -> tuple[np.ndarray, np.ndarray, Bucket]:
+        """(inputs, targets, self) of the examples at indices, each matrix
+        padded with pad_id to its longest row."""
+        return self.input_matrix(indices, pad_id), self.target_matrix(indices, pad_id), self
 
 
 # Field kinds of outside records: the phrase an error message uses -> the
@@ -172,13 +177,14 @@ def _json_text(value, indent: str) -> str:
 
 
 @contextlib.contextmanager
-def replacing(path, mode: str = "w"):
-    """A file opened as path.tmp (UTF-8 in text mode) and moved onto path
-    when the block ends without an exception: path holds the old contents or
-    the new, and path.tmp does not outlive the block."""
+def replacing(path, mode: str = "w", newline: str | None = None):
+    """A file opened as path.tmp (UTF-8 in text mode, with open's newline)
+    and moved onto path when the block ends without an exception: path holds
+    the old contents or the new, and path.tmp does not outlive the block."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8",
+                  newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -336,8 +336,9 @@ def attention(q, k, v, mask=None) -> Tensor:
     """softmax(q k^T / sqrt(d) + mask) v over the last two axes, as one node.
 
     The scale is the square root of q's column count; leading axes broadcast.
-    mask, if given, is a constant added to the raw scores (large negative
-    entries forbid positions); no gradient flows into it. The node keeps the
+    mask, if given, is a constant added to the raw scores in place (large
+    negative entries forbid positions): it must broadcast to their shape, and
+    the sums keep their dtype. No gradient flows into it. The node keeps the
     probabilities (not the scores) and the operands' arrays for its backward.
     The scores become the probabilities in place, the score gradient is
     formed in place on g v^T, and no array passed in is written.
@@ -354,12 +355,7 @@ def attention(q, k, v, mask=None) -> Tensor:
     if mask is not None:
         mask = _as_tensor(mask).data
         try:
-            # In place unless that would change the sum's shape or dtype.
-            if (np.broadcast_shapes(scores.shape, mask.shape) == scores.shape
-                    and np.can_cast(mask.dtype, scores.dtype)):
-                scores += mask
-            else:
-                scores = scores + mask
+            scores += mask
         except ValueError:
             raise ShapeError(
                 f"attention: mask {mask.shape} does not broadcast to scores "

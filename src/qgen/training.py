@@ -167,21 +167,22 @@ def train_step(model: TransformerModel, batch, state: TrainState,
     see only float64 arrays (mixed-precision training, Micikevicius et al.
     2018).
 
-    batch is (input_ids, target_ids, bucket_label), each matrix padded to
-    its bucket's width; targets include the leading [BOS] and trailing
-    [EOS], so the decoder sees targets[:, :-1] and is scored against
-    targets[:, 1:]. The step computes only up to each matrix's longest row
-    (_trim), but dropout draws its numbers at the bucket's width
-    (_BucketDraws): every kept position gets the mask the bucket-padded
-    batch would have drawn, and state.rng, which also samples the batches,
-    advances the same whatever the rows' lengths.
+    batch is (input_ids, target_ids, bucket) as Bucket.batch makes it, each
+    matrix padded to its longest row; targets include the leading [BOS] and
+    trailing [EOS], so the decoder sees targets[:, :-1] and is scored
+    against targets[:, 1:]. Dropout draws its numbers at the bucket's widths
+    (_BucketDraws): every position gets the mask a batch padded to the
+    bucket's bounds would have drawn, and state.rng, which also samples the
+    batches, advances the same whatever the rows' lengths.
     """
-    inputs, targets, bucket_label = batch
+    inputs, targets, bucket = batch
+    if inputs.shape[1] > bucket.max_input or targets.shape[1] > bucket.max_target:
+        raise ShapeError(f"batch of widths {inputs.shape[1]} and {targets.shape[1]} "
+                         f"is wider than bucket {bucket.label}")
     lr = learning_rate(state.step + 1, config)
     pad_id = model.config.pad_id
-    enc_rng = _BucketDraws(state.rng, inputs.shape[1])
-    dec_rng = _BucketDraws(state.rng, targets.shape[1] - 1)
-    inputs, targets = _trim(inputs, pad_id), _trim(targets, pad_id)
+    enc_rng = _BucketDraws(state.rng, bucket.max_input)
+    dec_rng = _BucketDraws(state.rng, bucket.max_target - 1)
     params = model.parameters()
     masters = [p.data for p in params]
     try:
@@ -197,9 +198,9 @@ def train_step(model: TransformerModel, batch, state: TrainState,
         except ShapeError:
             raise
         except ValueError as exc:
-            raise NumericalError(state.step, bucket_label, lr) from exc
+            raise NumericalError(state.step, bucket.label, lr) from exc
         if not np.isfinite(value):
-            raise NumericalError(state.step, bucket_label, lr)
+            raise NumericalError(state.step, bucket.label, lr)
         model.zero_grads()
         backward(step_loss)
     finally:
@@ -213,16 +214,8 @@ def train_step(model: TransformerModel, batch, state: TrainState,
     return value, grad_norm
 
 
-def _trim(matrix: np.ndarray, pad_id: int) -> np.ndarray:
-    """matrix less its trailing columns that hold only pad_id (one column
-    is kept if all do). Attention hides [PAD] keys and the loss skips [PAD]
-    targets, so the cut changes no result of a row that holds a non-pad id."""
-    filled = np.flatnonzero((matrix != pad_id).any(axis=0))
-    return matrix[:, : filled[-1] + 1 if filled.size else 1]
-
-
 class _BucketDraws:
-    """state.rng as dropout sees it on a batch cut narrower than its bucket.
+    """state.rng as dropout sees it on a batch narrower than its bucket.
 
     random(shape) draws (rows, width, ...) numbers, width being the bucket's
     sequence length, and returns the first shape[1] positions of each row.
@@ -295,7 +288,7 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     step, bucket (its label), loss, lr, grad_norm (before clipping),
     clipped (whether grad_norm exceeded clip_norm), real_tokens (the non-pad
     input and target tokens), pad_fraction (the [PAD] share of the input and
-    target positions the step computed, after _trim) and tokens_per_sec,
+    target positions the step computed) and tokens_per_sec,
     the one field that is not the same on every run; checkpoints
     land in out_dir/checkpoint every checkpoint_interval steps and at the
     end, once. A resumed run (state.step > 0) first drops the log's records of
@@ -324,19 +317,15 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
             n = len(bucket)
             replace = n < config.batch_size
             indices = state.rng.choice(n, size=config.batch_size, replace=replace)
-            batch = (
-                bucket.input_matrix(indices, pad_id),
-                bucket.target_matrix(indices, pad_id),
-                f"{bucket.max_input}x{bucket.max_target}",
-            )
+            batch = bucket.batch(indices, pad_id)
             started = time.perf_counter()
             value, grad_norm = train_step(model, batch, state, config)
             elapsed = max(time.perf_counter() - started, 1e-9)
             tokens = int((batch[0] != pad_id).sum() + (batch[1] != pad_id).sum())
-            computed = _trim(batch[0], pad_id).size + _trim(batch[1], pad_id).size
+            computed = batch[0].size + batch[1].size
             record = {
                 "step": state.step,
-                "bucket": batch[2],
+                "bucket": bucket.label,
                 "loss": value,
                 "lr": learning_rate(state.step, config),
                 "grad_norm": grad_norm,
@@ -360,8 +349,8 @@ def _check_fits(bucket: Bucket, config: ModelConfig) -> None:
     outside its vocabulary (the decoder reads targets less their last id)."""
     need = max(bucket.max_input, bucket.max_target - 1)
     if need > config.max_positions:
-        raise ValueError(f"bucket {bucket.max_input}x{bucket.max_target} needs {need} "
-                         f"positions, more than max_positions {config.max_positions}")
+        raise ValueError(f"bucket {bucket.label} needs {need} positions, more than "
+                         f"max_positions {config.max_positions}")
     for ex in bucket.examples:
         ids = ex.input_ids + ex.target_ids
         if min(ids, default=0) < 0 or max(ids, default=0) >= config.vocab_size:
@@ -401,9 +390,7 @@ def teacher_forced_accuracy(model: TransformerModel, buckets: list[Bucket]) -> f
         for bucket in buckets:
             if not bucket.examples:
                 continue
-            indices = range(len(bucket))
-            inputs = _trim(bucket.input_matrix(indices, pad_id), pad_id)
-            targets = _trim(bucket.target_matrix(indices, pad_id), pad_id)
+            inputs, targets, _ = bucket.batch(range(len(bucket)), pad_id)
             logits = model.forward(inputs, targets[:, :-1])
             pred = logits.data.argmax(axis=-1)
             gold = targets[:, 1:]

@@ -222,9 +222,7 @@ def test_c08_overfit_smoke(records, tagger, stoplist, vocab):
         bucket = occupied[int(state.rng.choice(len(occupied), p=weights))]
         idx = state.rng.choice(len(bucket), size=tcfg.batch_size,
                                replace=len(bucket) < tcfg.batch_size)
-        batch = (bucket.input_matrix(idx, cfg.pad_id),
-                 bucket.target_matrix(idx, cfg.pad_id), "b")
-        train_step(model, batch, state, tcfg)
+        train_step(model, bucket.batch(idx, cfg.pad_id), state, tcfg)
     accuracy = teacher_forced_accuracy(model, buckets)
     gen = GenerationConfig(beam_width=1, max_length=24)
     exact = 0

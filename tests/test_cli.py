@@ -346,8 +346,11 @@ class TestEvaluateErrors:
         out = tmp_path / "out"
         argv = ["evaluate", "--paths.out_dir", str(out), str(refs), str(hyps)]
         assert main(argv) == EXIT_OK
-        before = (out / "report.json").read_bytes()
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert before["report.csv"].count(b"\r\n") == 2  # csv's row ends
         write_jsonl(hyps, [{"id": "a", "question": "what?"}])
+        names = ["report.csv", "report.json", "report.txt"]
+        replace = squad.os.replace
 
         def refuse(src, dst):
             raise OSError(f"cannot move {src}")
@@ -355,9 +358,21 @@ class TestEvaluateErrors:
         monkeypatch.setattr(squad.os, "replace", refuse)
         assert main(argv) == EXIT_IO
         assert "cannot move" in capsys.readouterr().err
-        assert (out / "report.json").read_bytes() == before
-        assert sorted(f.name for f in out.iterdir()) == [
-            "report.csv", "report.json", "report.txt"]
+        assert (out / "report.json").read_bytes() == before["report.json"]
+        assert sorted(f.name for f in out.iterdir()) == names
+
+        def refuse_csv(src, dst):
+            if str(dst).endswith("report.csv"):
+                raise OSError(f"cannot move {src}")
+            replace(src, dst)
+
+        monkeypatch.setattr(squad.os, "replace", refuse_csv)
+        assert main(argv) == EXIT_IO
+        assert "cannot move" in capsys.readouterr().err
+        assert (out / "report.json").read_bytes() != before["report.json"]
+        for name in ("report.csv", "report.txt"):
+            assert (out / name).read_bytes() == before[name], name
+        assert sorted(f.name for f in out.iterdir()) == names
 
     def test_failed_cache_write_keeps_the_previous_cache(self, tmp_path, monkeypatch,
                                                          capsys):

@@ -244,7 +244,8 @@ class TestCorpusReport:
             ("q2", "who did that?", "who did that?"),
         ])
         csv_path = tmp_path / "report.csv"
-        report.write_csv(csv_path)
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            report.write_csv(fh)
         with open(csv_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["id"] for r in rows] == ["q1", "q2"]

@@ -11,6 +11,7 @@ import pytest
 from qgen.cli import EXIT_INPUT, main
 from qgen.generation import GenerationConfig, beam_search
 from qgen.model import ModelConfig, TransformerModel, read_container, write_container
+from qgen.squad import Bucket
 from qgen.training import (TrainConfig, TrainState, load_checkpoint, save_checkpoint,
                            train_step)
 from test_cli import save_small_checkpoint, write_jsonl
@@ -50,7 +51,7 @@ def trained_checkpoint(directory, vocab_size=12, num_heads=2):
         inputs = rng.integers(4, vocab_size, size=(2, 5))
         middle = rng.integers(4, vocab_size, size=(2, 3))
         targets = np.column_stack([[2, 2], middle, [3, 3]])
-        train_step(model, (inputs, targets, "b"), state, train_cfg)
+        train_step(model, (inputs, targets, Bucket(5, 5)), state, train_cfg)
     save_checkpoint(directory, model, state, train_cfg)
     return model, state
 

@@ -286,14 +286,40 @@ class TestCachedDecode:
                                                atol=1e-12)
             assert cache.length == prefixes.shape[1]
 
-    def test_cache_takes_only_one_source(self):
+    def test_batch_rows_match_their_single_record_decode(self):
+        # Two records of different lengths, encoded as one padded batch and
+        # decoded through one cache: row i reads source i.
+        cfg = small_config()
+        model = TransformerModel(cfg, seed=13)
+        records = [[4, 5, 6, 7, 8], [9, 10, 11]]
+        src = np.full((2, 5), cfg.pad_id)
+        for i, record in enumerate(records):
+            src[i, : len(record)] = record
+        steps = np.random.default_rng(6).integers(4, cfg.vocab_size, size=(3, 2, 1))
+        steps[0] = cfg.bos_id
+        with no_grad():
+            enc_out, src_ids = model.encode(src)
+            cache = DecodeCache()
+            got = [model.decode(enc_out, src_ids, step, cache=cache).data
+                   for step in steps]
+            for i, record in enumerate(records):
+                one_out, one_ids = model.encode(record)
+                one_cache = DecodeCache()
+                for step, logits in zip(steps, got):
+                    want = model.decode(one_out, one_ids, step[i:i + 1],
+                                        cache=one_cache).data
+                    np.testing.assert_allclose(logits[i], want[0], rtol=0, atol=1e-12)
+
+    def test_select_takes_only_one_source(self):
         model = TransformerModel(small_config(), seed=12)
         src = np.array([[4, 5, 6], [7, 8, model.config.pad_id]])
         with no_grad():
-            enc_out, _ = model.encode(src)
-            params = model.dec_layers[0].cross_attn
+            enc_out, src_ids = model.encode(src)
+            cache = DecodeCache()
+            model.decode(enc_out, src_ids, np.full((2, 1), model.config.bos_id),
+                         cache=cache)
             with pytest.raises(ShapeError, match="one source"):
-                DecodeCache().cross(0, params, enc_out)
+                cache.select([0, 0])
 
 
 class TestModelGradients:

@@ -241,11 +241,12 @@ class TestBucketByLength:
             bucket_by_length([], [(64, 16), (32, 24)])
 
     def test_padded_matrices(self):
-        bucket = Bucket(8, 4, [InvertedExample("q", [7, 8, 9], [2, 5, 3])])
-        inputs = bucket.input_matrix([0], pad_id=0)
-        targets = bucket.target_matrix([0], pad_id=0)
-        np.testing.assert_array_equal(inputs, [[7, 8, 9, 0, 0, 0, 0, 0]])
-        np.testing.assert_array_equal(targets, [[2, 5, 3, 0]])
+        bucket = Bucket(8, 6, [InvertedExample("q", [7, 8, 9], [2, 5, 3]),
+                               InvertedExample("r", [4, 6], [2, 5, 6, 3])])
+        inputs, targets, got = bucket.batch([1, 0], pad_id=1)
+        np.testing.assert_array_equal(inputs, [[4, 6, 1], [7, 8, 9]])
+        np.testing.assert_array_equal(targets, [[2, 5, 6, 3], [2, 5, 3, 1]])
+        assert got is bucket and got.label == "8x6"
 
 
 class TestExampleCache:

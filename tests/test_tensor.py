@@ -524,11 +524,12 @@ class TestFusedAttention:
 
 
 def out_of_place_attention(q, k, v, mask, g):
-    """The fused node's output and gradients, each step into a new array."""
+    """The fused node's output and gradients, each step into a new array;
+    the masked scores keep the scores' dtype."""
     scale = float(1.0 / np.sqrt(q.shape[-1]))
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
     if mask is not None:
-        scores = scores + mask
+        scores = (scores + mask).astype(scores.dtype)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
     gp = g @ np.swapaxes(v, -1, -2)
@@ -551,7 +552,8 @@ IN_PLACE_CASES = [
 class TestAttentionInPlace:
     """attention works in place only on arrays it made: the operands, the
     mask and the incoming gradient stay as they were, and every result equals
-    the out-of-place formula bit for bit, fallbacks included."""
+    the out-of-place formula bit for bit. A mask that would widen the scores
+    is a ShapeError."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name,lead,mask_shape,mask_dtype", IN_PLACE_CASES,
@@ -568,7 +570,12 @@ class TestAttentionInPlace:
             mask = mask.astype(mask_dtype or dtype)
         given = [a for a in (q, k, v, mask) if a is not None]
         before = [a.copy() for a in given]
-        out = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), mask)
+        operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        if name == "mask_broadcasts_larger":
+            with pytest.raises(ShapeError, match="does not broadcast"):
+                attention(*operands, mask)
+            return
+        out = attention(*operands, mask)
         g = rng.normal(size=out.shape).astype(out.data.dtype)
         g_before = g.copy()
         got = [out.data, *out.node.backward(g)]

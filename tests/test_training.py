@@ -48,8 +48,7 @@ def tiny_bucket(n=4, in_len=6, tgt_len=5, seed=0):
 
 
 def batch_from(bucket, pad_id=0):
-    idx = range(len(bucket))
-    return (bucket.input_matrix(idx, pad_id), bucket.target_matrix(idx, pad_id), "b")
+    return bucket.batch(range(len(bucket)), pad_id)
 
 
 def ragged_bucket(n=6, max_input=10, max_target=8, seed=0):
@@ -68,9 +67,14 @@ def ragged_bucket(n=6, max_input=10, max_target=8, seed=0):
 
 
 def reference_step(model, batch, state, config):
-    """A step on the whole bucket-padded batch: model.forward, with dropout
-    drawn from state.rng at the batch's full shape."""
-    inputs, targets, _ = batch
+    """A step on the batch padded by hand to its bucket's bounds:
+    model.forward, with dropout drawn from state.rng at the padded batch's
+    full shape."""
+    inputs, targets, bucket = batch
+    inputs, targets = (np.pad(m, ((0, 0), (0, width - m.shape[1])),
+                              constant_values=model.config.pad_id)
+                       for m, width in ((inputs, bucket.max_input),
+                                        (targets, bucket.max_target)))
     lr = learning_rate(state.step + 1, config)
     logits = model.forward(inputs, targets[:, :-1], rng=state.rng)
     loss = cross_entropy_with_logits(logits, targets[:, 1:], model.config.pad_id,
@@ -249,7 +253,7 @@ class TestTrainStep:
         model.embed.data[4] = np.nan
         cfg = TrainConfig(total_steps=10, warmup_steps=5)
         state = TrainState(model, seed=0)
-        with pytest.raises(NumericalError, match=r"step 0 \(bucket b, lr"):
+        with pytest.raises(NumericalError, match=r"step 0 \(bucket 6x5, lr"):
             train_step(model, batch_from(tiny_bucket()), state, cfg)
 
     def test_trimmed_step_matches_the_bucket_padded_step(self):
@@ -259,10 +263,10 @@ class TestTrainStep:
         trimmed_state, padded_state = TrainState(trimmed, 5), TrainState(padded, 5)
         for seed in range(3):
             batch = batch_from(ragged_bucket(seed=seed))
-            assert training._trim(batch[0], 0).shape[1] < batch[0].shape[1]
-            assert training._trim(batch[1], 0).shape[1] < batch[1].shape[1]
-            # At float64, as reference_step: trimming changes the GEMMs'
-            # shapes, and so float32 rounding, but not what they compute.
+            assert batch[0].shape[1] < batch[2].max_input
+            assert batch[1].shape[1] < batch[2].max_target
+            # At float64, as reference_step: the bucket's padding changes the
+            # GEMMs' shapes, and so float32 rounding, but not what they compute.
             loss, _ = train_step(trimmed, batch, trimmed_state, cfg,
                                  compute_dtype=np.float64)
             assert abs(loss - reference_step(padded, batch, padded_state, cfg)) < 1e-12
@@ -270,6 +274,13 @@ class TestTrainStep:
                 assert np.abs(p.data - q.data).max() < 1e-12, p.name
             assert (trimmed_state.rng.bit_generator.state
                     == padded_state.rng.bit_generator.state)
+
+    def test_batch_wider_than_its_bucket_is_a_shape_error(self):
+        model = tiny_model(seed=2, dropout=0.1)
+        inputs, targets, _ = batch_from(tiny_bucket())
+        cfg = TrainConfig(total_steps=10, warmup_steps=5)
+        with pytest.raises(tensor.ShapeError, match="6 and 5 is wider than bucket 4x5"):
+            train_step(model, (inputs, targets, Bucket(4, 5)), TrainState(model, 0), cfg)
 
     def test_returns_the_norm_before_clipping(self):
         model = tiny_model(seed=3)
@@ -534,19 +545,6 @@ class TestTrainLoop:
             training._truncate_log(str(log), 1)
         assert os.listdir(tmp_path) == ["metrics.jsonl"]
         assert log.read_text(encoding="utf-8") == text
-
-
-class TestTrim:
-    def test_no_pad_column_keeps_the_matrix(self):
-        m = np.array([[5, 6, 7], [8, 9, 4]])
-        np.testing.assert_array_equal(training._trim(m, 0), m)
-
-    def test_cut_at_the_longest_row(self):
-        m = np.array([[5, 6, 0, 0, 0], [7, 0, 0, 0, 0], [8, 9, 4, 0, 0]])
-        np.testing.assert_array_equal(training._trim(m, 0), m[:, :3])
-
-    def test_all_pad_keeps_one_column(self):
-        assert training._trim(np.zeros((2, 4), dtype=np.int64), 0).shape == (2, 1)
 
 
 class TestCheckpoint:
