@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import struct
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -451,12 +450,16 @@ class TransformerModel:
             config = ModelConfig(**meta["config"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"checkpoint {path}: bad model config: {exc}") from None
-        arrays = join_head_blocks(arrays, config, path)
         model = cls.__new__(cls)
         model._build(config, ParameterMaker(stored=arrays, path=path))
-        if [p.name for p in model._parameters] != list(arrays):
-            raise ValueError(f"checkpoint {path} parameter names do not match config")
+        model.check_names(arrays, path)
         return model
+
+    def check_names(self, arrays: dict[str, np.ndarray], path, prefixes=("",)) -> None:
+        """Refuse arrays, read from the container at path, unless their names are
+        each parameter's name under each prefix in turn, in order: what save writes."""
+        if list(arrays) != [pre + p.name for pre in prefixes for p in self._parameters]:
+            raise ValueError(f"checkpoint {path} parameter names do not match config")
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +522,8 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             if fh.readinto(raw) != len(raw):
                 raise ValueError(f"{path}: truncated tensor {name!r}")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if left:
+            raise ValueError(f"{path}: {left} bytes after the last tensor")
     return header["meta"], arrays
 
 
@@ -531,35 +536,6 @@ def stored_array(arrays: dict[str, np.ndarray], name: str, shape, path) -> np.nd
         raise ValueError(f"checkpoint {path}: {name} has shape {arrays[name].shape}, "
                          f"expected {shape}")
     return arrays[name]
-
-
-_HEAD_BLOCK = re.compile(r"(.+\.w[qkv])\d+")
-
-
-def join_head_blocks(arrays: dict[str, np.ndarray], config: ModelConfig,
-                     path) -> dict[str, np.ndarray]:
-    """arrays of the container at path with an older checkpoint's head blocks
-    (<block>.wq0 ... <block>.wq<h-1>, also wk, wv and their m:/v: moments)
-    joined in head order, at the first block's place, into the matrix they are
-    the columns of. Blocks other than heads 0 ... h-1 raise ValueError."""
-    joined: dict[str, np.ndarray | None] = {}
-    heads: dict[str, int] = {}
-    for name, array in arrays.items():
-        match = _HEAD_BLOCK.fullmatch(name)
-        if match is None:
-            joined[name] = array
-        else:
-            joined.setdefault(match[1], None)
-            heads[match[1]] = heads.get(match[1], 0) + 1
-    for name, count in heads.items():
-        if name in arrays or count != config.num_heads:
-            raise ValueError(f"checkpoint {path}: {name} is stored as {count} heads, "
-                             f"not as one matrix or {config.num_heads} heads")
-        shape = (config.d_model, config.d_head)
-        blocks = [stored_array(arrays, f"{name}{i}", shape, path)
-                  for i in range(config.num_heads)]
-        joined[name] = np.concatenate(blocks, axis=1)
-    return joined
 
 
 def _tensor_entry(path, entry) -> tuple[str, tuple[int, ...]]:

@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import (ModelConfig, TransformerModel, join_head_blocks, read_container,
-                    stored_array, write_container)
+from .model import ModelConfig, TransformerModel, read_container, stored_array, write_container
 from .squad import Bucket, read_json, replacing, write_json
 from .tensor import ShapeError, backward, cross_entropy_with_logits, no_grad
 
@@ -97,7 +96,6 @@ class TrainState:
     def load(cls, path, model: TransformerModel) -> "TrainState":
         """The state stored at path; its moments are the very arrays read."""
         meta, arrays = read_container(path)
-        arrays = join_head_blocks(arrays, model.config, path)
         state = cls.__new__(cls)
         state.step = meta.get("step")
         if type(state.step) is not int or state.step < 0:
@@ -110,6 +108,7 @@ class TrainState:
             raise ValueError(f"{path}: the generator refuses rng_state: {exc!r}") from None
         state.m, state.v = ({p.name: stored_array(arrays, f"{kind}:{p.name}", p.shape, path)
                              for p in model.parameters()} for kind in "mv")
+        model.check_names(arrays, path, prefixes=("m:", "v:"))
         return state
 
 

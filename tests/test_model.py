@@ -563,6 +563,7 @@ class TestCheckpoint:
         cases = [
             (tensors[:-1], "parameter names do not match config"),
             (tensors + [("extra", np.zeros(2))], "parameter names do not match config"),
+            (tensors[::-1], "parameter names do not match config"),
             ([("embed", np.zeros((3, 8)))] + tensors[1:],
              r"embed has shape \(3, 8\), expected \(16, 8\)"),
         ]
@@ -650,6 +651,15 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])  # the last tensor loses one value
         last = model.parameters()[-1].name
         with pytest.raises(ValueError, match=f"truncated tensor '{last}'"):
+            read_container(path)
+
+    @pytest.mark.parametrize("extra", [1, 8, 4096])
+    def test_bytes_after_the_last_tensor_name_the_file(self, tmp_path, extra):
+        path = tmp_path / "m.bin"
+        TransformerModel(small_config(), seed=9).save(path)
+        path.write_bytes(path.read_bytes() + bytes(extra))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {extra} bytes after the last tensor")):
             read_container(path)
 
     def test_loaded_parameters_are_writable_arrays_of_their_own(self, tmp_path):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qgen.model import ModelConfig, TransformerModel, write_container
+from qgen.model import ModelConfig, TransformerModel, read_container, write_container
 from qgen.squad import Bucket, InvertedExample
 from qgen import tensor, training
 from qgen.tensor import Tensor, backward, cross_entropy_with_logits
@@ -638,6 +638,21 @@ class TestCheckpoint:
         for p in model.parameters():
             assert state.m[p.name] is arrays[f"m:{p.name}"]
             assert state.v[p.name] is arrays[f"v:{p.name}"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda ts: ts + [("m:enc9.attn.wq", np.zeros((8, 8))), ("junk", np.zeros(1))],
+        lambda ts: ts[len(ts) // 2:] + ts[:len(ts) // 2],
+    ], ids=["extra", "v_before_m"])
+    def test_state_names_other_than_save_writes_name_the_file(self, tmp_path, edit):
+        model = tiny_model(seed=7)
+        cfg = TrainConfig(total_steps=4, warmup_steps=2, batch_size=2)
+        save_checkpoint(tmp_path / "ckpt", model, TrainState(model, seed=0), cfg)
+        path = tmp_path / "ckpt" / "state.bin"
+        meta, arrays = read_container(path)
+        write_container(path, meta, edit(list(arrays.items())))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path} parameter names do not match config")):
+            load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("train_section,key", [
         (None, '"train"'),
