@@ -11,9 +11,15 @@ import numpy as np
 from .model import DecodeCache
 from .preprocess import ENTITY_TAGS, EntityTagger, PreprocessError, preprocess_pair
 from .squad import MAX_INPUT_IDS, clip_input
-from .tensor import log_softmax, no_grad
+from .tensor import Tensor, compute_copies, log_softmax, no_grad
 from .wordpiece import TokenSequence, Vocabulary
 from . import preprocess as _preprocess
+
+# beam_search runs its decoder steps at this dtype, on copies of the float64
+# parameters the decoder reads, and then rescores at float64 each finished
+# hypothesis whose score is within RESCORE_MARGIN * (1 + |best|) of the best.
+SEARCH_DTYPE = np.float32
+RESCORE_MARGIN = 1e-4
 
 
 @dataclass
@@ -61,9 +67,10 @@ def _top_k(logp: np.ndarray, width: int) -> np.ndarray:
 
 
 def _search(
-    model, input_ids, cfg: GenerationConfig, width: int
+    model, enc_out, src_ids, cfg: GenerationConfig, width: int
 ) -> tuple[list[BeamHypothesis], BeamHypothesis]:
-    """Breadth-limited best-first decoding, with the greedy search alongside.
+    """Breadth-limited best-first decoding from the encoder output enc_out of
+    src_ids, with the greedy search alongside.
 
     Returns the width-search's finished pool unsorted, and the greedy
     completion. Each live hypothesis expands by its width most probable
@@ -80,7 +87,6 @@ def _search(
     widths = (width,) if width == 1 else (width, 1)
     pools: list[list[BeamHypothesis]] = [[] for _ in widths]
     with no_grad():
-        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
         cache = DecodeCache()
         # (search, tokens, log-probability); the cache row is the list index
         live: list[tuple[int, tuple[int, ...], float]] = [
@@ -120,23 +126,60 @@ def _search(
 
 
 def greedy_decode(model, input_ids, cfg: GenerationConfig) -> BeamHypothesis:
-    """Argmax decoding, the width-1 beam; ties go to the smallest token id."""
-    return _search(model, input_ids, cfg, 1)[1]
+    """Argmax decoding, the width-1 beam, at the model's own dtype; ties go to
+    the smallest token id."""
+    with no_grad():
+        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
+    return _search(model, enc_out, src_ids, cfg, 1)[1]
 
 
 def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]:
     """The cfg.beam_width search, best first.
 
-    The greedy completion, decoded in the same batch, is always merged into
-    the pool, so widening the beam never ranks below greedy. Finished
-    hypotheses are ranked by log-probability / length^alpha with ties broken
-    by token ids.
+    The source is encoded once, at float64. The search's decoder steps run
+    at SEARCH_DTYPE, on a copy of the encoder output and on copies of the
+    parameters the decoder reads, made for this call. The greedy completion,
+    decoded in the same batch, is always merged into the pool, so widening
+    the beam never ranks below greedy. Hypotheses are ranked by
+    log-probability / length^alpha, ties broken by token ids. Those whose
+    search score is within RESCORE_MARGIN * (1 + |best|) of the best come
+    first, their log_prob rescored at float64 by one teacher-forced decoder
+    call on the float64 encoder output; the rest follow, carrying their
+    search log_prob.
     """
-    finished, greedy = _search(model, input_ids, cfg, cfg.beam_width)
-    if all(h.tokens != greedy.tokens for h in finished):
-        finished.append(greedy)
-    finished.sort(key=lambda h: (-h.score(cfg.length_alpha), h.tokens))
-    return finished
+    alpha = cfg.length_alpha
+    with no_grad():
+        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
+        with compute_copies(model.decoder_parameters(), SEARCH_DTYPE):
+            low = Tensor(enc_out.data.astype(SEARCH_DTYPE))
+            finished, greedy = _search(model, low, src_ids, cfg, cfg.beam_width)
+        if all(h.tokens != greedy.tokens for h in finished):
+            finished.append(greedy)
+        best = max(h.score(alpha) for h in finished)
+        floor = best - RESCORE_MARGIN * (1.0 + abs(best))
+        near = [h for h in finished if h.score(alpha) >= floor]
+        rest = [h for h in finished if h.score(alpha) < floor]
+        near = _teacher_forced(model, enc_out, src_ids, near)
+
+    def ranked(pool):
+        return sorted(pool, key=lambda h: (-h.score(alpha), h.tokens))
+    return ranked(near) + ranked(rest)
+
+
+def _teacher_forced(model, enc_out, src_ids, hyps: list[BeamHypothesis]
+                    ) -> list[BeamHypothesis]:
+    """hyps with each log_prob recomputed by one decoder call over all of
+    them, teacher-forced from [BOS] and padded with [PAD] to the longest."""
+    dec_in = np.full((len(hyps), max(len(h.tokens) for h in hyps)),
+                     model.config.pad_id, dtype=np.int64)
+    dec_in[:, 0] = model.config.bos_id
+    for row, h in enumerate(hyps):
+        dec_in[row, 1: len(h.tokens)] = h.tokens[:-1]
+    logits = model.decode(enc_out, src_ids, dec_in, cache=DecodeCache())
+    logp = log_softmax(logits.data, "decoder logits")
+    # Summed left to right, as the search sums.
+    return [BeamHypothesis(h.tokens, sum(logp[row, range(len(h.tokens)), h.tokens].tolist()))
+            for row, h in enumerate(hyps)]
 
 
 def substitute_entities(question: str, entity_map: dict[str, list[str]]) -> str:

@@ -331,6 +331,10 @@ class TransformerModel:
     def parameters(self) -> list[Parameter]:
         return list(self._parameters)
 
+    def decoder_parameters(self) -> list[Parameter]:
+        """The parameters decode reads: all but the encoder's."""
+        return [p for p in self._parameters if not p.name.startswith("enc")]
+
     def zero_grads(self) -> None:
         for p in self._parameters:
             p.zero_grad()
@@ -338,7 +342,7 @@ class TransformerModel:
     @property
     def dtype(self) -> np.dtype:
         """The dtype the model computes in: its parameters' (float64, but
-        for the compute copies a training step swaps in)."""
+        for the compute copies a training step or a beam search swaps in)."""
         return self.embed.data.dtype
 
     # -- masks ----------------------------------------------------------

@@ -38,6 +38,21 @@ def no_grad():
         _GRAD_STACK.pop()
 
 
+@contextlib.contextmanager
+def compute_copies(params: Sequence[Tensor], dtype):
+    """Swap each parameter's master array for a copy at dtype (none when it
+    is at dtype already) and put the masters back when the block ends,
+    whether or not it raised."""
+    masters = [p.data for p in params]
+    try:
+        for p in params:
+            p.data = p.data.astype(dtype, copy=False)
+        yield
+    finally:
+        for p, master in zip(params, masters):
+            p.data = master
+
+
 def _recording() -> bool:
     return _GRAD_STACK[-1]
 

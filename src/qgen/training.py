@@ -15,7 +15,8 @@ import numpy as np
 
 from .model import ModelConfig, TransformerModel, read_container, stored_array, write_container
 from .squad import Bucket, read_json, replacing, write_json
-from .tensor import ShapeError, backward, cross_entropy_with_logits, no_grad
+from .tensor import (ShapeError, backward, compute_copies, cross_entropy_with_logits,
+                     no_grad)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
@@ -27,11 +28,12 @@ COMPUTE_DTYPE = np.float32
 
 
 class NumericalError(RuntimeError):
-    """Training produced a non-finite loss; message carries step/bucket/lr."""
+    """Training produced a non-finite loss or gradient norm; the message
+    carries what, step, bucket and lr."""
 
-    def __init__(self, step: int, bucket: str, lr: float):
+    def __init__(self, step: int, bucket: str, lr: float, what: str = "loss"):
         super().__init__(
-            f"non-finite loss at step {step} (bucket {bucket}, lr {lr:.3e})"
+            f"non-finite {what} at step {step} (bucket {bucket}, lr {lr:.3e})"
         )
 
 
@@ -113,12 +115,13 @@ class TrainState:
 
 
 def clip_gradients(model: TransformerModel, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm; returns
+    the norm before. A non-finite norm leaves the gradients as they are."""
     total = 0.0
     for p in model.parameters():
         total += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm:
+    if max_norm < norm < math.inf:
         scale = max_norm / norm
         for p in model.parameters():
             p.grad = p.grad * scale
@@ -160,11 +163,13 @@ def train_step(model: TransformerModel, batch, state: TrainState,
     norm before clipping.
 
     The forward and backward passes run at compute_dtype: each parameter's
-    float64 master array is swapped for a copy at that dtype (none for
-    float64) and put back when they end, whether or not they raised. The
-    gradients are then cast to float64, so clipping, Adam and the masters
-    see only float64 arrays (mixed-precision training, Micikevicius et al.
-    2018).
+    float64 master array is swapped for a copy at that dtype
+    (tensor.compute_copies) and put back when they end, whether or not they
+    raised. The gradients are then cast to float64, so clipping, Adam and
+    the masters see only float64 arrays (mixed-precision training,
+    Micikevicius et al. 2018). A non-finite loss or pre-clip gradient norm
+    raises NumericalError before the masters, the moments or state.step
+    change.
 
     batch is (input_ids, target_ids, bucket) as Bucket.batch makes it, each
     matrix padded to its longest row; targets include the leading [BOS] and
@@ -183,10 +188,7 @@ def train_step(model: TransformerModel, batch, state: TrainState,
     enc_rng = _BucketDraws(state.rng, bucket.max_input)
     dec_rng = _BucketDraws(state.rng, bucket.max_target - 1)
     params = model.parameters()
-    masters = [p.data for p in params]
-    try:
-        for p in params:
-            p.data = p.data.astype(compute_dtype, copy=False)
+    with compute_copies(params, compute_dtype):
         try:
             enc_out, src_ids = model.encode(inputs, enc_rng)
             logits = model.decode(enc_out, src_ids, targets[:, :-1], dec_rng)
@@ -202,12 +204,11 @@ def train_step(model: TransformerModel, batch, state: TrainState,
             raise NumericalError(state.step, bucket.label, lr)
         model.zero_grads()
         backward(step_loss)
-    finally:
-        for p, master in zip(params, masters):
-            p.data = master
     for p in params:
         p.grad = p.grad.astype(np.float64, copy=False)
     grad_norm = clip_gradients(model, config.clip_norm)
+    if not math.isfinite(grad_norm):
+        raise NumericalError(state.step, bucket.label, lr, "gradient norm")
     adam_step(model, state, lr, config.weight_decay)
     state.step += 1
     return value, grad_norm

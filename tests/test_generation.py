@@ -5,7 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qgen import generation
+from qgen.cli import DEFAULTS, _model_config
 from qgen.generation import (
+    RESCORE_MARGIN,
     BeamHypothesis,
     GenerationConfig,
     _top_k,
@@ -15,8 +18,15 @@ from qgen.generation import (
     substitute_entities,
 )
 from qgen.model import ModelConfig, TransformerModel
-from qgen.preprocess import PreprocessError, preprocess_pair
-from qgen.tensor import ShapeError, Tensor, no_grad
+from qgen.preprocess import PreprocessError, postprocess_question, preprocess_pair
+from qgen.squad import DEFAULT_BUCKET_BOUNDS, clip_input
+from qgen.tensor import ShapeError, Tensor, log_softmax, no_grad
+from qgen.wordpiece import TokenSequence
+
+# The largest |log_prob - float64 value| a hypothesis beam_search does not
+# rescore may carry: its search runs at float32. The largest measured on the
+# small_model searches below was 1.4e-6.
+FLOAT32_BOUND = 1e-5
 
 
 class TableModel:
@@ -27,6 +37,7 @@ class TableModel:
     vocab); row t (and, for the second, the previous token) scores the token
     at decoding position t. It decodes incrementally like the real model:
     the cache's length is the number of positions decoded before this call.
+    It has no parameters, and its encoder output is a placeholder.
     """
 
     def __init__(self, logits_table, bos_id=2, eos_id=3, pad_id=0):
@@ -34,7 +45,10 @@ class TableModel:
         self.config = SimpleNamespace(bos_id=bos_id, eos_id=eos_id, pad_id=pad_id)
 
     def encode(self, input_ids):
-        return None, np.asarray(input_ids)
+        return Tensor(np.zeros((1, 1, 1))), np.asarray(input_ids)
+
+    def decoder_parameters(self):
+        return []
 
     def decode(self, enc_out, src_ids, dec_input_ids, cache):
         dec_ids = np.asarray(dec_input_ids)
@@ -77,6 +91,11 @@ def enumerate_best(table, cfg, eos):
     return best[1]
 
 
+def enumerate_logp(table, tokens):
+    """tokens' log-probability under a (positions, vocab) TableModel table."""
+    return sum(float(log_softmax(table[i], "table")[t]) for i, t in enumerate(tokens))
+
+
 def reference_greedy(model, input_ids, max_length):
     """Argmax decoding written out apart from qgen.generation's search: ties
     go to the smallest token id, and the end marker is forced at max_length."""
@@ -95,6 +114,30 @@ def reference_greedy(model, input_ids, max_length):
             if token == eos:
                 break
     return BeamHypothesis(tokens, total)
+
+
+def forward_log_prob(model, input_ids, tokens):
+    """tokens' log-probability from one float64 teacher-forced model.forward."""
+    with no_grad():
+        logits = model.forward(input_ids, [model.config.bos_id, *tokens[:-1]]).data
+    logp = log_softmax(logits, "logits")
+    return float(logp[np.arange(len(tokens)), list(tokens)].sum())
+
+
+def error_bound(pool, hyp, alpha, rescored):
+    """The tolerance on hyp's log_prob in a beam_search pool: rescored for a
+    hypothesis well inside the rescoring margin of the best, FLOAT32_BOUND
+    for any other."""
+    best = pool[0].score(alpha)
+    floor = best - RESCORE_MARGIN * (1 + abs(best))
+    return rescored if hyp.score(alpha) >= floor + FLOAT32_BOUND else FLOAT32_BOUND
+
+
+def float64_search(model, input_ids, cfg, monkeypatch):
+    """beam_search with its decoder steps at float64."""
+    with monkeypatch.context() as patch:
+        patch.setattr(generation, "SEARCH_DTYPE", np.float64)
+        return beam_search(model, input_ids, cfg)
 
 
 def small_model(seed=0, vocab_size=10):
@@ -194,7 +237,8 @@ class TestBeamSearch:
         model = small_model(seed=4)
         cfg = GenerationConfig(beam_width=4, max_length=6)
         ids = np.array([4, 5, 6, 7])
-        for hyp in beam_search(model, ids, cfg)[:3]:
+        pool = beam_search(model, ids, cfg)
+        for hyp in pool[:3]:
             enc, src = model.encode(ids)
             dec_in = np.array([model.config.bos_id, *hyp.tokens[:-1]])
             logits = model.decode(enc, src, dec_in).data
@@ -202,7 +246,8 @@ class TestBeamSearch:
             for pos, token in enumerate(hyp.tokens):
                 row = logits[pos] - logits[pos].max()
                 total += row[token] - math.log(np.exp(row).sum())
-            assert total == pytest.approx(hyp.log_prob, abs=1e-9)
+            bound = error_bound(pool, hyp, cfg.length_alpha, rescored=1e-9)
+            assert total == pytest.approx(hyp.log_prob, abs=bound)
 
     def test_beam_top_score_at_least_greedy(self):
         cfg1 = GenerationConfig(beam_width=1, max_length=6, length_alpha=0.6)
@@ -224,9 +269,10 @@ class TestBeamSearch:
             want = reference_greedy(model, ids, 8)
             for width in (2, 4):
                 cfg = GenerationConfig(beam_width=width, max_length=8)
-                pool = {h.tokens: h.log_prob for h in beam_search(model, ids, cfg)}
-                assert want.tokens in pool
-                assert pool[want.tokens] == pytest.approx(want.log_prob, abs=1e-12)
+                pool = beam_search(model, ids, cfg)
+                got, = [h for h in pool if h.tokens == want.tokens]
+                bound = error_bound(pool, got, cfg.length_alpha, rescored=1e-12)
+                assert got.log_prob == pytest.approx(want.log_prob, abs=bound)
 
     # Two searches that part after step 1. The greedy search takes token 4
     # (p .5) and then 1 (p .3), so (4, 1) scores .15; the width-2 beam keeps
@@ -299,7 +345,8 @@ class TestBeamSearch:
         cfg = GenerationConfig(beam_width=4, max_length=10)
         beam_search(model, np.array([4, 5, 6, 7]), cfg)
         assert calls["encode"] == 1
-        assert 1 <= calls["decode"] <= cfg.max_length
+        # One call per search step, and one to rescore the best at float64.
+        assert 2 <= calls["decode"] <= cfg.max_length + 1
 
     def test_decoding_past_max_positions_raises(self):
         model = small_model(seed=1)
@@ -318,6 +365,88 @@ class TestBeamSearch:
         b = beam_search(model, np.array([4, 5]), cfg)
         assert [(h.tokens, h.log_prob) for h in a] == \
                [(h.tokens, h.log_prob) for h in b]
+
+
+class SkewedTableModel(TableModel):
+    """A TableModel whose logits gain skew where the encoder output it is
+    given is float32, as beam_search's search steps pass it; its float64
+    logits, what rescoring reads, are the table's."""
+
+    def __init__(self, logits_table, skew):
+        super().__init__(logits_table)
+        self.skew = np.asarray(skew, dtype=float)
+
+    def decode(self, enc_out, src_ids, dec_input_ids, cache):
+        logits = super().decode(enc_out, src_ids, dec_input_ids, cache).data
+        return Tensor(logits + self.skew if enc_out.data.dtype == np.float32 else logits)
+
+
+@pytest.fixture(scope="module")
+def cli_model(vocab):
+    """A random-init model at the CLI's default settings."""
+    return TransformerModel(_model_config(dict(DEFAULTS), vocab), seed=0)
+
+
+class TestFloat32Search:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_best_is_the_float64_search_best(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        model = small_model(seed=seed)
+        for width in (1, 2, 4):
+            cfg = GenerationConfig(beam_width=width, max_length=8)
+            ids = rng.integers(4, 10, size=int(rng.integers(1, 8)))
+            best = beam_search(model, ids, cfg)[0]
+            assert best.tokens == float64_search(model, ids, cfg, monkeypatch)[0].tokens
+            assert best.log_prob == pytest.approx(
+                forward_log_prob(model, ids, best.tokens), abs=1e-12)
+
+    @pytest.mark.parametrize("bucket", DEFAULT_BUCKET_BOUNDS, ids=lambda b: f"{b[0]}x{b[1]}")
+    def test_cli_model_best_is_the_float64_search_best(self, cli_model, bucket,
+                                                       monkeypatch):
+        """One input per length band, as long as the band's widest."""
+        ids = np.random.default_rng(bucket[0]).integers(
+            4, cli_model.config.vocab_size, size=bucket[0] - 10)
+        cfg = GenerationConfig()
+        pool = beam_search(cli_model, ids, cfg)
+        assert pool[0].tokens == float64_search(cli_model, ids, cfg, monkeypatch)[0].tokens
+        assert pool[0].log_prob == pytest.approx(
+            forward_log_prob(cli_model, ids, pool[0].tokens), abs=1e-12)
+
+    def test_hypotheses_inside_the_margin_rank_by_float64_score(self):
+        # At float32 token 4 leads token 5 by 2e-6; at float64 token 5 leads
+        # by 1e-6. Both are inside the margin, so both are rescored.
+        table = np.zeros((2, 6))
+        table[0] = [-9, -9, -9, -9, 0, 1e-6]
+        skew = np.zeros(6)
+        skew[4] = 3e-6
+        pool = beam_search(SkewedTableModel(table, skew), np.array([1]),
+                           GenerationConfig(beam_width=2, max_length=2))
+        want = [(5, 3), (4, 3)]
+        assert [h.tokens for h in pool] == want
+        for hyp in pool:
+            assert hyp.log_prob == pytest.approx(
+                enumerate_logp(table, hyp.tokens), abs=1e-12)
+
+    def test_hypotheses_outside_the_margin_keep_their_search_value(self):
+        # Token 1 trails the best by far more than the margin: its entry
+        # carries the skewed search value, the others their table value.
+        table = np.zeros((2, 6))
+        table[0] = [-9, -2, -9, -9, 0, 1e-6]
+        skew = np.zeros(6)
+        skew[1] = 0.5
+        pool = beam_search(SkewedTableModel(table, skew), np.array([1]),
+                           GenerationConfig(beam_width=3, max_length=2))
+        assert [h.tokens for h in pool] == [(5, 3), (4, 3), (1, 3)]
+        assert pool[0].log_prob == pytest.approx(enumerate_logp(table, (5, 3)), abs=1e-12)
+        assert pool[1].log_prob == pytest.approx(enumerate_logp(table, (4, 3)), abs=1e-12)
+        assert pool[2].log_prob == pytest.approx(
+            enumerate_logp(table + [skew, skew], (1, 3)), abs=1e-12)
+
+    def test_parameters_are_float64_after_a_search(self, cli_model):
+        masters = [p.data for p in cli_model.parameters()]
+        beam_search(cli_model, np.arange(4, 20), GenerationConfig(max_length=3))
+        for p, master in zip(cli_model.parameters(), masters, strict=True):
+            assert p.data is master and p.data.dtype == np.float64, p.name
 
 
 class TestSubstituteEntities:
@@ -410,6 +539,47 @@ class TestGenerateQuestion:
         assert searched == [full.ids[: model.config.max_positions]]
         generate_batch(model, [record], tagger, stoplist, vocab, cfg, max_input_ids=12)
         assert searched[-1] == full.ids[:12]
+
+    def test_writes_the_first_hypothesis_of_each_search(self, tagger, stoplist, vocab,
+                                                         monkeypatch):
+        """generate_batch calls qgen.generation.beam_search, looked up there,
+        once per record and in order, and writes the tokens and score of the
+        first hypothesis it returns: what the benchmark's generate check
+        captures and rescores."""
+        model = small_model(seed=6, vocab_size=len(vocab))
+        cfg = GenerationConfig(beam_width=2, max_length=5, length_alpha=0.6)
+        records = [
+            {"id": "a", "passage": "The gold was found in Warsaw.", "answer": "gold"},
+            {"id": "b", "passage": "Nikola Tesla was born in Smiljan.",
+             "answer": "Smiljan"},
+            {"id": "c", "passage": "The gold was found in Warsaw.", "answer": "Warsaw"},
+        ]
+        eos = vocab.eos_id
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            i = len(calls)
+            # The first hypothesis is not the best by score.
+            return [BeamHypothesis((10 + i, 20 + i, eos), -3.0 * i),
+                    BeamHypothesis((30 + i, eos), -0.1)]
+
+        monkeypatch.setattr(generation, "beam_search", spy)
+        rows = generate_batch(model, records, tagger, stoplist, vocab, cfg)
+        searched = [clip_input(preprocess_pair(r["answer"], r["passage"], tagger,
+                                               stoplist, vocab)[0].ids,
+                               model.config.max_positions, vocab.separator_id)
+                    for r in records]
+        assert len(calls) == len(records)
+        for (got_model, input_ids, got_cfg), want in zip(calls, searched):
+            assert got_model is model and got_cfg is cfg
+            assert list(input_ids) == want
+        assert [r["id"] for r in rows] == ["a", "b", "c"]
+        for i, row in enumerate(rows, 1):
+            first = BeamHypothesis((10 + i, 20 + i, eos), -3.0 * i)
+            assert row["score"] == first.score(cfg.length_alpha)
+            assert row["question_tagged"] == postprocess_question(
+                TokenSequence.from_ids(first.tokens, vocab))
 
     def test_unfit_answer_names_the_record(self, tagger, stoplist, vocab):
         model = small_model(seed=8, vocab_size=len(vocab))

@@ -236,6 +236,16 @@ class TestOptimizer:
         for p, b in zip(model.parameters(), before):
             np.testing.assert_array_equal(p.grad, b)
 
+    def test_clip_leaves_gradients_of_an_infinite_norm_alone(self):
+        model = tiny_model()
+        for p in model.parameters():
+            p.grad = np.full_like(p.data, 2.0)
+        model.embed.grad[1, 1] = np.inf
+        before = [p.grad.copy() for p in model.parameters()]
+        assert clip_gradients(model, max_norm=1.0) == math.inf
+        for p, b in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.grad, b)
+
 
 class TestTrainStep:
     def test_loss_decreases_over_windows_on_fixed_batch(self):
@@ -255,6 +265,30 @@ class TestTrainStep:
         state = TrainState(model, seed=0)
         with pytest.raises(NumericalError, match=r"step 0 \(bucket 6x5, lr"):
             train_step(model, batch_from(tiny_bucket()), state, cfg)
+
+    def test_non_finite_gradient_norm_aborts_before_any_update(self, monkeypatch):
+        model = tiny_model(seed=2)
+        cfg = TrainConfig(total_steps=10, warmup_steps=5)
+        state = TrainState(model, seed=0)
+        batch = batch_from(tiny_bucket())
+        train_step(model, batch, state, cfg)  # so the moments are not all zero
+        masters = {p.name: p.data.copy() for p in model.parameters()}
+        moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in state.m}
+        run_backward = training.backward
+
+        def poisoned(loss):
+            run_backward(loss)
+            model.embed.grad[5, 0] = np.inf
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        with pytest.raises(NumericalError, match=r"non-finite gradient norm at step 1 "
+                                                 r"\(bucket 6x5, lr 4\.000e-04\)"):
+            train_step(model, batch, state, cfg)
+        assert state.step == 1
+        for p in model.parameters():
+            assert np.array_equal(p.data, masters[p.name]), p.name
+            assert np.array_equal(state.m[p.name], moments[p.name][0]), p.name
+            assert np.array_equal(state.v[p.name], moments[p.name][1]), p.name
 
     def test_trimmed_step_matches_the_bucket_padded_step(self):
         cfg = TrainConfig(total_steps=10, base_lr=1e-2, warmup_steps=2,
