@@ -72,6 +72,11 @@ DEFAULTS: dict[str, object] = {
 }
 
 
+# The least value of each integer key that no config class checks: a target
+# holds at least [BOS] and [EOS], and numpy takes no negative seed.
+_LEAST = {"data.max_input_ids": 1, "data.max_target_ids": 2, "seed": 0}
+
+
 def _parse_value(key: str, raw: str):
     default = DEFAULTS[key]
     if isinstance(default, bool):
@@ -109,6 +114,9 @@ def load_config(config_path: str | None, overrides: list[tuple[str, str]]) -> di
             cfg[key] = _parse_value(key, str(value))
     for key, raw in overrides:
         cfg[key] = _parse_value(key, raw)
+    for key, least in _LEAST.items():
+        if cfg[key] < least:
+            raise ValueError(f"{key} must be >= {least}, got {cfg[key]}")
     return cfg
 
 

@@ -4,21 +4,19 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import DecodeCache
 from .preprocess import ENTITY_TAGS, EntityTagger, PreprocessError, preprocess_pair
 from .squad import MAX_INPUT_IDS, clip_input
-from .tensor import Tensor, compute_copies, log_softmax, no_grad
+from .tensor import COMPUTE_DTYPE, Tensor, compute_copies, log_softmax, no_grad
 from .wordpiece import TokenSequence, Vocabulary
 from . import preprocess as _preprocess
 
-# beam_search runs its decoder steps at this dtype, on copies of the float64
-# parameters the decoder reads, and then rescores at float64 each finished
-# hypothesis whose score is within RESCORE_MARGIN * (1 + |best|) of the best.
-SEARCH_DTYPE = np.float32
+# beam_search rescores at float64 each finished hypothesis whose score is
+# within RESCORE_MARGIN * (1 + |best|) of the best.
 RESCORE_MARGIN = 1e-4
 
 
@@ -67,10 +65,10 @@ def _top_k(logp: np.ndarray, width: int) -> np.ndarray:
 
 
 def _search(
-    model, enc_out, src_ids, cfg: GenerationConfig, width: int
+    model, enc_out, src_ids, cfg: GenerationConfig
 ) -> tuple[list[BeamHypothesis], BeamHypothesis]:
-    """Breadth-limited best-first decoding from the encoder output enc_out of
-    src_ids, with the greedy search alongside.
+    """Breadth-limited best-first decoding, width cfg.beam_width, from the
+    encoder output enc_out of src_ids, with the greedy search alongside.
 
     Returns the width-search's finished pool unsorted, and the greedy
     completion. Each live hypothesis expands by its width most probable
@@ -83,7 +81,7 @@ def _search(
     tokens of all live hypotheses, whose earlier positions the model keeps
     in a DecodeCache.
     """
-    eos = model.config.eos_id
+    eos, width = model.config.eos_id, cfg.beam_width
     widths = (width,) if width == 1 else (width, 1)
     pools: list[list[BeamHypothesis]] = [[] for _ in widths]
     with no_grad():
@@ -126,18 +124,15 @@ def _search(
 
 
 def greedy_decode(model, input_ids, cfg: GenerationConfig) -> BeamHypothesis:
-    """Argmax decoding, the width-1 beam, at the model's own dtype; ties go to
-    the smallest token id."""
-    with no_grad():
-        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
-    return _search(model, enc_out, src_ids, cfg, 1)[1]
+    """Argmax decoding, the width-1 beam; ties go to the smallest token id."""
+    return beam_search(model, input_ids, replace(cfg, beam_width=1))[0]
 
 
 def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]:
     """The cfg.beam_width search, best first.
 
     The source is encoded once, at float64. The search's decoder steps run
-    at SEARCH_DTYPE, on a copy of the encoder output and on copies of the
+    at COMPUTE_DTYPE, on a copy of the encoder output and on copies of the
     parameters the decoder reads, made for this call. The greedy completion,
     decoded in the same batch, is always merged into the pool, so widening
     the beam never ranks below greedy. Hypotheses are ranked by
@@ -150,9 +145,9 @@ def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]
     alpha = cfg.length_alpha
     with no_grad():
         enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
-        with compute_copies(model.decoder_parameters(), SEARCH_DTYPE):
-            low = Tensor(enc_out.data.astype(SEARCH_DTYPE))
-            finished, greedy = _search(model, low, src_ids, cfg, cfg.beam_width)
+        with compute_copies(model.decoder_parameters(), COMPUTE_DTYPE):
+            low = Tensor(enc_out.data.astype(COMPUTE_DTYPE))
+            finished, greedy = _search(model, low, src_ids, cfg)
         if all(h.tokens != greedy.tokens for h in finished):
             finished.append(greedy)
         best = max(h.score(alpha) for h in finished)

@@ -81,10 +81,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be an integer in [0, vocab_size "
                                  f"{self.vocab_size}), got {value!r}")
 
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.num_heads
-
 
 def positional_encoding(max_len: int, d_model: int) -> Tensor:
     """Fixed sinusoidal position table: sin on even columns, cos on odd."""

@@ -38,6 +38,11 @@ def no_grad():
         _GRAD_STACK.pop()
 
 
+# Training steps and beam search's decoder steps compute at this dtype, on
+# compute_copies of the float64 master parameters.
+COMPUTE_DTYPE = np.float32
+
+
 @contextlib.contextmanager
 def compute_copies(params: Sequence[Tensor], dtype):
     """Swap each parameter's master array for a copy at dtype (none when it

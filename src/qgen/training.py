@@ -15,16 +15,12 @@ import numpy as np
 
 from .model import ModelConfig, TransformerModel, read_container, stored_array, write_container
 from .squad import Bucket, read_json, replacing, write_json
-from .tensor import (ShapeError, backward, compute_copies, cross_entropy_with_logits,
-                     no_grad)
+from .tensor import (COMPUTE_DTYPE, ShapeError, backward, compute_copies,
+                     cross_entropy_with_logits, no_grad)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
-
-# The forward and backward passes of a training step run at this dtype, on
-# copies of the float64 master weights; see train_step.
-COMPUTE_DTYPE = np.float32
 
 
 class NumericalError(RuntimeError):

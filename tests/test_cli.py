@@ -639,6 +639,44 @@ class TestConfigValues:
         assert f"error: {key} must be " in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("data.max_target_ids", "1"),
+        ("data.max_target_ids", "0"),
+        ("data.max_target_ids", "-3"),
+        ("data.max_input_ids", "0"),
+        ("data.max_input_ids", "-3"),
+    ])
+    def test_length_key_below_its_least_names_the_key(self, tmp_path, capsys, key, value):
+        """A length that cannot hold [BOS] [EOS] or one input piece; a slice
+        by it would cut pieces from the end."""
+        code, cache, out = run_preprocess(tmp_path, [f"--{key}", value])
+        assert code == EXIT_INPUT
+        assert f"error: {key} must be >= " in capsys.readouterr().err
+        assert not cache.exists() and not out.exists()
+
+    def test_generate_max_input_ids_below_one_names_the_key(self, tmp_path, capsys, vocab):
+        save_small_checkpoint(tmp_path / "out", vocab)
+        gen_in = write_jsonl(tmp_path / "gen_in.jsonl", [
+            {"id": "g1", "passage": "The gold was found in Warsaw.", "answer": "gold"},
+        ])
+        gen_out = tmp_path / "gen_out.jsonl"
+        argv = ["generate", "--paths.out_dir", str(tmp_path / "out"),
+                "--generate.max_length", "4", "--data.max_input_ids", "-3",
+                str(gen_in), str(gen_out)]
+        assert main(argv) == EXIT_INPUT
+        assert "error: data.max_input_ids must be >= 1, got -3" in capsys.readouterr().err
+        assert not gen_out.exists()
+
+    def test_negative_seed_names_the_key(self, tmp_path, capsys):
+        _, cache, _ = run_preprocess(tmp_path)
+        capsys.readouterr()
+        run = tmp_path / "run"
+        argv = ["train", "--paths.examples_cache", str(cache), "--paths.out_dir", str(run),
+                "--train.total_steps", "1", "--train.warmup_steps", "1", "--seed", "-1"]
+        assert main(argv) == EXIT_INPUT
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_odd_width_names_the_key(self, tmp_path, capsys):
         _, cache, _ = run_preprocess(tmp_path)
         capsys.readouterr()

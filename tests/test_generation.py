@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -136,7 +137,7 @@ def error_bound(pool, hyp, alpha, rescored):
 def float64_search(model, input_ids, cfg, monkeypatch):
     """beam_search with its decoder steps at float64."""
     with monkeypatch.context() as patch:
-        patch.setattr(generation, "SEARCH_DTYPE", np.float64)
+        patch.setattr(generation, "COMPUTE_DTYPE", np.float64)
         return beam_search(model, input_ids, cfg)
 
 
@@ -182,6 +183,17 @@ class TestBeamSearch:
             for got in (greedy_decode(model, ids, cfg), beam_search(model, ids, cfg)[0]):
                 assert got.tokens == want.tokens
                 assert got.log_prob == pytest.approx(want.log_prob, abs=1e-12)
+
+    def test_greedy_is_the_width_one_search(self):
+        """Tokens and log_prob equal, exactly, to beam_search's best at width 1,
+        whatever width cfg asks for."""
+        cfg = GenerationConfig(beam_width=4, max_length=8, length_alpha=0.6)
+        rng = np.random.default_rng(0)
+        for seed in range(10):
+            model = small_model(seed=seed)
+            ids = rng.integers(4, 10, size=5)
+            want = beam_search(model, ids, dataclasses.replace(cfg, beam_width=1))[0]
+            assert greedy_decode(model, ids, cfg) == want
 
     def test_beam_four_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(42)

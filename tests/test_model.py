@@ -493,7 +493,7 @@ class TestParameterOrder:
                 limit = math.sqrt(6.0 / (shape[0] + shape[1]))
                 want = rng.uniform(-limit, limit, size=shape)
             elif fill == "heads":
-                block = (cfg.d_model, cfg.d_head)
+                block = (cfg.d_model, cfg.d_model // cfg.num_heads)
                 limit = math.sqrt(6.0 / (block[0] + block[1]))
                 heads = [rng.uniform(-limit, limit, size=block) for _ in range(cfg.num_heads)]
                 want = np.concatenate(heads, axis=1)
