@@ -8,10 +8,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DecodeCache
 from .preprocess import ENTITY_TAGS, EntityTagger, PreprocessError, preprocess_pair
 from .squad import MAX_INPUT_IDS, clip_input
-from .tensor import COMPUTE_DTYPE, Tensor, compute_copies, log_softmax, no_grad
+from .tensor import COMPUTE_DTYPE, compute_copies, log_softmax, no_grad
 from .wordpiece import TokenSequence, Vocabulary
 from . import preprocess as _preprocess
 
@@ -77,23 +76,21 @@ def _search(
     marker move to the finished pool; anything still live at max_length is
     completed with the end marker and its actual log-probability. Above
     width 1 the greedy search (width 1) rides as one more row of the same
-    batch until it finishes. Each step is one decoder call on the last
-    tokens of all live hypotheses, whose earlier positions the model keeps
-    in a DecodeCache.
+    batch until it finishes. Each position is one step of the model's
+    stepper (model.stepper) on the last tokens of all live hypotheses.
     """
     eos, width = model.config.eos_id, cfg.beam_width
     widths = (width,) if width == 1 else (width, 1)
     pools: list[list[BeamHypothesis]] = [[] for _ in widths]
     with no_grad():
-        cache = DecodeCache()
-        # (search, tokens, log-probability); the cache row is the list index
+        stepper = model.stepper(enc_out, src_ids)
+        # (search, tokens, log-probability); the stepper's row is the list index
         live: list[tuple[int, tuple[int, ...], float]] = [
             (search, (), 0.0) for search in range(len(widths))
         ]
-        last = np.full((len(widths), 1), model.config.bos_id, dtype=np.int64)
+        last = np.full(len(widths), model.config.bos_id, dtype=np.int64)
         for position in range(1, cfg.max_length + 1):
-            logits = model.decode(enc_out, src_ids, last, cache=cache)
-            logp = log_softmax(logits.data[:, -1], "decoder logits")
+            logp = log_softmax(stepper.step(last), "decoder logits")
             if position == cfg.max_length:
                 picks = np.full((len(live), 1), eos)
             else:
@@ -118,8 +115,8 @@ def _search(
                     rows.append(row)
             if not live:
                 break
-            cache.select(rows)
-            last = np.array([[tokens[-1]] for _, tokens, _ in live], dtype=np.int64)
+            stepper.select(rows)
+            last = np.array([tokens[-1] for _, tokens, _ in live], dtype=np.int64)
     return pools[0], pools[-1][0]
 
 
@@ -146,7 +143,7 @@ def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]
     with no_grad():
         enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
         with compute_copies(model.decoder_parameters(), COMPUTE_DTYPE):
-            low = Tensor(enc_out.data.astype(COMPUTE_DTYPE))
+            low = enc_out.data.astype(COMPUTE_DTYPE)
             finished, greedy = _search(model, low, src_ids, cfg)
         if all(h.tokens != greedy.tokens for h in finished):
             finished.append(greedy)
@@ -170,7 +167,7 @@ def _teacher_forced(model, enc_out, src_ids, hyps: list[BeamHypothesis]
     dec_in[:, 0] = model.config.bos_id
     for row, h in enumerate(hyps):
         dec_in[row, 1: len(h.tokens)] = h.tokens[:-1]
-    logits = model.decode(enc_out, src_ids, dec_in, cache=DecodeCache())
+    logits = model.decode(enc_out, src_ids, dec_in)
     logp = log_softmax(logits.data, "decoder logits")
     # Summed left to right, as the search sums.
     return [BeamHypothesis(h.tokens, sum(logp[row, range(len(h.tokens)), h.tokens].tolist()))
@@ -203,10 +200,11 @@ def generate_batch(
     """Decode {id, passage, answer} records into
     {id, question_tagged, question_substituted, score}, preserving order.
 
-    Each distinct passage is encoded once. Inputs are clipped as invert clips
-    them, to at most max_input_ids and the model's max_positions pieces. A
-    cfg.max_length above max_positions is a ValueError, raised before anything
-    is decoded.
+    Each distinct passage is tagged and split into wordpieces once (passages);
+    each record's beam_search encodes its own answer + separator + passage.
+    Inputs are clipped as invert clips them, to at most max_input_ids and the
+    model's max_positions pieces. A cfg.max_length above max_positions is a
+    ValueError, raised before anything is decoded.
     """
     if cfg.max_length > model.config.max_positions:
         raise ValueError(

@@ -29,10 +29,12 @@ from .tensor import (  # noqa: F401
     Tensor,
     add,
     attention,
+    attention_forward,
     concat_last,
     dropout,
     embedding,
     layer_norm,
+    layer_norm_forward,
     matmul,
     mul,
     relu,
@@ -110,10 +112,6 @@ class MultiHeadParams:
         self.wv = make(f"{prefix}.wv", (d_model, d_model), per_head)
         self.wo = make(f"{prefix}.wo", (d_model, d_model), _xavier)
 
-    def keys_values(self, x) -> tuple[Tensor, Tensor]:
-        """x projected to per-head keys and values, each (..., h, m, d_head)."""
-        return _heads(x, self.wk, self.num_heads), _heads(x, self.wv, self.num_heads)
-
 
 def _heads(x, weight, num_heads: int) -> Tensor:
     """x times a projection, with the heads moved to their own axis:
@@ -123,19 +121,19 @@ def _heads(x, weight, num_heads: int) -> Tensor:
     return swap_axes(split, -3, -2)
 
 
-def multi_head(x_q, params: MultiHeadParams, mask=None, kv=None) -> Tensor:
+def multi_head(x_q, params: MultiHeadParams, mask=None, memory=None) -> Tensor:
     """Multi-head attention: project, split into heads, attend, merge, project out.
 
-    kv is the keys and values attended to, as params.keys_values projects
-    them; it defaults to those of x_q (self-attention). Cross-attention
-    passes params.keys_values(encoder output). Heads are evaluated together
-    by stacking them on a leading axis, which is numerically identical to
-    looping per head.
+    The keys and values are projected from memory, which defaults to x_q
+    (self-attention); cross-attention passes the encoder output. Heads are
+    evaluated together by stacking them on a leading axis, which is
+    numerically identical to looping per head.
     """
     if x_q.shape[-1] != params.d_model:
         raise ShapeError(f"multi_head: input width {x_q.shape} != {params.d_model}")
-    q = _heads(x_q, params.wq, params.num_heads)
-    k, v = params.keys_values(x_q) if kv is None else kv
+    n, memory = params.num_heads, x_q if memory is None else memory
+    q = _heads(x_q, params.wq, n)
+    k, v = _heads(memory, params.wk, n), _heads(memory, params.wv, n)
     heads = attention(q, k, v, mask)  # (..., h, m, d_head)
     merged = reshape(swap_axes(heads, -3, -2), (*x_q.shape[:-1], params.d_model))
     return matmul(merged, params.wo)
@@ -193,6 +191,9 @@ class _LayerNormParams:
     def __call__(self, x) -> Tensor:
         return layer_norm(x, self.gain, self.bias)
 
+    def on_array(self, x: np.ndarray) -> np.ndarray:
+        return layer_norm_forward(x, self.gain.data, self.bias.data)[0]
+
 
 class _FeedForward:
     def __init__(self, d_model: int, d_ff: int, make: ParameterMaker, prefix: str):
@@ -203,6 +204,10 @@ class _FeedForward:
 
     def __call__(self, x) -> Tensor:
         return add(matmul(relu(add(matmul(x, self.w1), self.b1)), self.w2), self.b2)
+
+    def on_array(self, x: np.ndarray) -> np.ndarray:
+        hidden = np.maximum(x @ self.w1.data + self.b1.data, 0.0)
+        return hidden @ self.w2.data + self.b2.data
 
 
 class _EncoderLayer:
@@ -230,66 +235,94 @@ class _DecoderLayer:
         self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, make, f"{prefix}.ffn")
         self.rate = cfg.dropout
 
-    def __call__(self, x, enc_out, self_mask, cross_mask, rng, cache, index) -> Tensor:
-        """cache holds this layer's keys and values under index; the new
-        rows' self-attention keys and values are appended to it."""
-        h = self.ln1(x)
-        self_kv = cache.extend(index, *self.self_attn.keys_values(h))
-        cross_kv = cache.cross(index, self.cross_attn, enc_out)
-        x = add(x, dropout(multi_head(h, self.self_attn, self_mask, self_kv),
+    def __call__(self, x, enc_out, self_mask, cross_mask, rng) -> Tensor:
+        x = add(x, dropout(multi_head(self.ln1(x), self.self_attn, self_mask),
                            self.rate, rng))
-        x = add(x, dropout(multi_head(self.ln2(x), self.cross_attn, cross_mask, cross_kv),
+        x = add(x, dropout(multi_head(self.ln2(x), self.cross_attn, cross_mask, enc_out),
                            self.rate, rng))
         return add(x, dropout(self.ffn(self.ln3(x)), self.rate, rng))
+
+    def step(self, x: np.ndarray, kv: list, cross_kv, self_mask, cross_mask) -> np.ndarray:
+        """__call__ on arrays, without dropout, for the next position of each
+        row, x (rows, d_model). kv holds the rows' self-attention keys and
+        values, (rows, h, t, d_head) or None, and gains this position's;
+        cross_kv the source's keys (h, d_head, m) and values (h, m, d_head)."""
+        (rows, d), heads = x.shape, self.self_attn.num_heads
+
+        def split(x, weight):  # (rows, d) -> (rows, h, 1, d_head)
+            return (x @ weight.data).reshape(rows, heads, 1, d // heads)
+
+        h = self.ln1.on_array(x)
+        kv[0] = _grow(kv[0], split(h, self.self_attn.wk), -2)
+        kv[1] = _grow(kv[1], split(h, self.self_attn.wv), -2)
+        out = attention_forward(split(h, self.self_attn.wq), np.swapaxes(kv[0], -1, -2),
+                                kv[1], self_mask)[0]
+        x = x + out.reshape(rows, d) @ self.self_attn.wo.data
+        q = split(self.ln2.on_array(x), self.cross_attn.wq)[:, :, 0].swapaxes(0, 1)
+        out = attention_forward(q, *cross_kv, cross_mask)[0]  # (h, rows, d_head)
+        x = x + out.swapaxes(0, 1).reshape(rows, d) @ self.cross_attn.wo.data
+        return x + self.ffn.on_array(self.ln3.on_array(x))
 
 
 def _grow(old: np.ndarray | None, new: np.ndarray, axis: int) -> np.ndarray:
     return new if old is None else np.concatenate([old, new], axis=axis)
 
 
-class DecodeCache:
-    """What a decoder pass carries from one decode call to the next.
+class DecoderStepper:
+    """The decoder run one position at a time over the rows (beams) of one
+    source, on the parameters' arrays at their dtype, off the autodiff graph.
 
-    Per decoded row (beam): each decoder layer's self-attention keys and
-    values so far, and the additive mask hiding the [PAD] ones among them.
-    Per source: each decoder layer's cross-attention keys and values,
-    projected once from the encoder output of the first call; one source is
-    broadcast over every row, and otherwise row i reads source i. length
-    counts the decoded positions. A cache made for one call keeps that
-    call's graph; what later calls read from it is constant.
+    Per row it keeps each layer's self-attention keys and values and, once
+    some row has decoded [PAD], the mask hiding those positions. Per source:
+    each layer's cross-attention keys and values, the [PAD] mask (none if the
+    source has no [PAD]) and a contiguous output projection.
     """
 
-    def __init__(self):
-        self.length = 0
-        self.pad_mask: np.ndarray | None = None  # (rows, 1, 1, length)
-        self.self_kv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.cross_kv: dict[int, tuple[Tensor, Tensor]] = {}
+    def __init__(self, model: "TransformerModel", enc_out: np.ndarray, src_ids: np.ndarray):
+        """enc_out (1, m, d_model) is the encoder output of src_ids (1, m)."""
+        if len(src_ids) != 1:
+            raise ShapeError(f"the decoder steps over one source, got {len(src_ids)}")
+        self.model, self.length = model, 0
+        self.self_kv = [[None, None] for _ in model.dec_layers]
+        self.self_mask: np.ndarray | None = None  # (rows, 1, 1, length)
+        enc, m, heads = enc_out[0], src_ids.shape[-1], model.config.num_heads
+
+        def split(weight):  # (h, m, d_head)
+            return (enc @ weight.data).reshape(m, heads, -1).transpose(1, 0, 2)
+
+        self.cross_kv = [(np.ascontiguousarray(split(layer.cross_attn.wk).swapaxes(1, 2)),
+                          np.ascontiguousarray(split(layer.cross_attn.wv)))
+                         for layer in model.dec_layers]
+        has_pad = (src_ids == model.config.pad_id).any()
+        self.cross_mask = model._pad_mask(src_ids)[0, 0] if has_pad else None  # (1, m)
+        out_proj = model.embed.data.T if model.out_proj is None else model.out_proj.data
+        self.out_proj = np.ascontiguousarray(out_proj)  # (d_model, V)
+
+    def step(self, last_ids) -> np.ndarray:
+        """Decode each row's next position from its last token; returns the
+        next-token logits, (rows, V)."""
+        model = self.model
+        ids = np.asarray(last_ids, dtype=np.int64)
+        model._check_ids(ids, "decoder input", self.length + 1)
+        pad = model._pad_mask(ids[:, None])
+        if self.self_mask is None and pad.any():
+            self.self_mask = np.zeros((len(ids), 1, 1, self.length), pad.dtype)
+        if self.self_mask is not None:
+            self.self_mask = np.concatenate([self.self_mask, pad], axis=-1)
+        scale = model.dtype.type(np.sqrt(model.config.d_model))  # as _embed_sequence
+        x = model.embed.data[ids] * scale + model.positions.data[self.length].astype(scale.dtype)
+        self.length += 1
+        for layer, kv, cross_kv in zip(model.dec_layers, self.self_kv, self.cross_kv):
+            x = layer.step(x, kv, cross_kv, self.self_mask, self.cross_mask)
+        return model.dec_norm.on_array(x) @ self.out_proj
 
     def select(self, rows) -> None:
-        """Keep these rows, in this order; a row may repeat or be dropped.
-        The rows must share one source."""
-        if any(k.shape[0] != 1 for k, _ in self.cross_kv.values()):
-            raise ShapeError("DecodeCache.select needs the rows of one source")
+        """Keep these rows, in this order; a row may repeat or be dropped."""
         rows = np.asarray(rows, dtype=np.int64)
-        if self.pad_mask is not None:
-            self.pad_mask = self.pad_mask[rows]
-        self.self_kv = {i: (k[rows], v[rows]) for i, (k, v) in self.self_kv.items()}
-
-    def extend(self, layer: int, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-        """Append the new rows' keys and values (rows, h, t_new, d_head) of
-        one layer; return that layer's keys and values for every position:
-        on the layer's first call the Tensors given, later a constant."""
-        old_k, old_v = self.self_kv.get(layer, (None, None))
-        k, v = _grow(old_k, keys.data, -2), _grow(old_v, values.data, -2)
-        self.self_kv[layer] = k, v
-        return (keys, values) if old_k is None else (Tensor(k), Tensor(v))
-
-    def cross(self, layer: int, params: MultiHeadParams, enc_out) -> tuple[Tensor, Tensor]:
-        """One layer's cross-attention keys and values, projected from
-        enc_out (sources, m, d_model) on first use."""
-        if layer not in self.cross_kv:
-            self.cross_kv[layer] = params.keys_values(enc_out)
-        return self.cross_kv[layer]
+        for kv in self.self_kv:
+            kv[:] = kv[0][rows], kv[1][rows]
+        if self.self_mask is not None:
+            self.self_mask = self.self_mask[rows]
 
 
 class TransformerModel:
@@ -348,10 +381,9 @@ class TransformerModel:
         hide, see = self.dtype.type(MASK_VALUE), self.dtype.type(0.0)
         return np.where(ids == self.config.pad_id, hide, see)[:, None, None, :]
 
-    def _causal_mask(self, t: int, start: int = 0) -> np.ndarray:
-        """(t, start + t) mask: the query at position start + i sees keys
-        0 .. start + i."""
-        return np.triu(np.full((t, start + t), MASK_VALUE, self.dtype), k=start + 1)
+    def _causal_mask(self, t: int) -> np.ndarray:
+        """(t, t) mask: the query at position i sees keys 0 .. i."""
+        return np.triu(np.full((t, t), MASK_VALUE, self.dtype), k=1)
 
     @staticmethod
     def _as_batch(ids) -> tuple[np.ndarray, bool]:
@@ -362,23 +394,25 @@ class TransformerModel:
             return ids, False
         raise ShapeError(f"token ids must be 1-d or 2-d, got shape {ids.shape}")
 
-    def _check_ids(self, ids: np.ndarray, what: str, start: int = 0) -> None:
-        """ids continue a sequence that already has start positions."""
+    def _check_ids(self, ids: np.ndarray, what: str, length: int | None = None) -> None:
+        """ids are in the vocabulary, and a sequence length (ids.shape[-1])
+        long fits the position table."""
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
             raise ShapeError(
                 f"{what} id out of range [0, {self.config.vocab_size})"
             )
-        if start + ids.shape[-1] > self.config.max_positions:
+        length = ids.shape[-1] if length is None else length
+        if length > self.config.max_positions:
             raise ShapeError(
-                f"{what} length {start + ids.shape[-1]} exceeds max positions "
+                f"{what} length {length} exceeds max positions "
                 f"{self.config.max_positions}"
             )
 
-    def _embed_sequence(self, ids: np.ndarray, rng, start: int = 0) -> Tensor:
+    def _embed_sequence(self, ids: np.ndarray, rng) -> Tensor:
         # A float64 scalar or table would promote a float32 sum (NEP 50).
         dtype = self.dtype
         x = mul(embedding(self.embed, ids), dtype.type(np.sqrt(self.config.d_model)))
-        pos = self.positions.data[start: start + ids.shape[-1]]
+        pos = self.positions.data[: ids.shape[-1]]
         pos = Tensor(pos.astype(dtype, copy=False))
         return dropout(add(x, pos), self.config.dropout, rng)
 
@@ -394,39 +428,30 @@ class TransformerModel:
             x = layer(x, mask, rng)
         return self.enc_norm(x), ids
 
-    def decode(self, enc_out: Tensor, src_ids: np.ndarray, dec_input_ids, rng=None,
-               cache: DecodeCache | None = None) -> Tensor:
-        """Decoder pass producing next-token logits, through a DecodeCache.
+    def decode(self, enc_out: Tensor, src_ids: np.ndarray, dec_input_ids, rng=None
+               ) -> Tensor:
+        """Teacher-forced decoder pass from position 0: next-token logits,
+        (k, t, V), for every position of dec_input_ids (k, t).
 
-        dec_input_ids holds the new tokens of each row, (k, t_new): they take
-        the positions after the cache's length, attend to every earlier
-        position of their row through the cache, and are appended to it; the
-        logits are theirs, (k, t_new, V). Without a cache, the pass runs on a
-        fresh one, so it is teacher-forced from position 0 and keeps its
-        graph. Decoder self-attention is causally masked; [PAD] positions of
-        both streams are hidden as attention keys.
+        Decoder self-attention is causally masked; [PAD] positions of both
+        streams are hidden as attention keys. Search steps the decoder one
+        position at a time through stepper instead.
         """
         dec_ids, squeeze = self._as_batch(dec_input_ids)
-        cache = DecodeCache() if cache is None else cache
-        start = cache.length
-        self._check_ids(dec_ids, "decoder input", start)
-        t = dec_ids.shape[-1]
-        cache.pad_mask = pad_mask = _grow(cache.pad_mask, self._pad_mask(dec_ids), -1)
-        cache.length += t
-        # A single new position sees every earlier one: its causal mask is 0.
-        self_mask = pad_mask if t == 1 else self._causal_mask(t, start) + pad_mask
+        self._check_ids(dec_ids, "decoder input")
+        self_mask = self._causal_mask(dec_ids.shape[-1]) + self._pad_mask(dec_ids)
         cross_mask = self._pad_mask(src_ids)
-        x = self._embed_sequence(dec_ids, rng, start)
-        for i, layer in enumerate(self.dec_layers):
-            x = layer(x, enc_out, self_mask, cross_mask, rng, cache, i)
+        x = self._embed_sequence(dec_ids, rng)
+        for layer in self.dec_layers:
+            x = layer(x, enc_out, self_mask, cross_mask, rng)
         x = self.dec_norm(x)
-        if self.out_proj is not None:
-            logits = matmul(x, self.out_proj)
-        else:
-            logits = matmul(x, transpose(self.embed))
+        logits = matmul(x, transpose(self.embed) if self.out_proj is None else self.out_proj)
         if squeeze:
             logits = reshape(logits, logits.shape[1:])
         return logits
+
+    def stepper(self, enc_out: np.ndarray, src_ids: np.ndarray) -> DecoderStepper:
+        return DecoderStepper(self, enc_out, src_ids)
 
     def forward(self, input_ids, dec_input_ids, rng=None) -> Tensor:
         """Full pass: logits over the vocabulary for every decoder position."""

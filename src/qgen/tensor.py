@@ -353,36 +353,19 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def attention(q, k, v, mask=None) -> Tensor:
-    """softmax(q k^T / sqrt(d) + mask) v over the last two axes, as one node.
-
-    The scale is the square root of q's column count; leading axes broadcast.
-    mask, if given, is a constant added to the raw scores in place (large
-    negative entries forbid positions): it must broadcast to their shape, and
-    the sums keep their dtype. No gradient flows into it. The node keeps the
-    probabilities (not the scores) and the operands' arrays for its backward.
-    The scores become the probabilities in place, the score gradient is
-    formed in place on g v^T, and no array passed in is written.
-    """
+    """softmax(q k^T / sqrt(d) + mask) v over the last two axes, as one node
+    with attention_forward's forward. No array passed in is written. The node
+    keeps the probabilities and the operands' arrays for its backward, which
+    forms the score gradient in place on g v^T."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qd, kd, vd = q.data, k.data, v.data
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention: k rows {k.shape} != v rows {v.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: q cols {q.shape} != k cols {k.shape}")
-    scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps q's dtype
-    scores = qd @ np.swapaxes(kd, -1, -2)
-    scores *= scale
-    if mask is not None:
-        mask = _as_tensor(mask).data
-        try:
-            scores += mask
-        except ValueError:
-            raise ShapeError(
-                f"attention: mask {mask.shape} does not broadcast to scores "
-                f"{scores.shape}"
-            ) from None
-    probs = _softmax(scores, "attention: score matrix")
-    out = _result(probs @ vd, (q, k, v))
+    mask = None if mask is None else _as_tensor(mask).data
+    data, probs, scale = attention_forward(qd, np.swapaxes(kd, -1, -2), vd, mask)
+    out = _result(data, (q, k, v))
     if out.node is not None:
         def _bw(g):
             gv = _unbroadcast(np.swapaxes(probs, -1, -2) @ g, vd.shape)
@@ -395,20 +378,40 @@ def attention(q, k, v, mask=None) -> Tensor:
     return out
 
 
+def attention_forward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, mask=None
+                      ) -> tuple[np.ndarray, np.ndarray, float]:
+    """softmax(q k_t / sqrt(d) + mask) v on arrays, k_t being the keys with
+    their last two axes swapped; returns it, the probabilities and the scale.
+
+    The scale is the square root of q's column count; leading axes broadcast.
+    mask, if given, is added to the raw scores in place (large negative
+    entries forbid positions): it must broadcast to their shape, and the sums
+    keep their dtype. The scores become the probabilities in place.
+    """
+    scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps q's dtype
+    scores = q @ k_t
+    scores *= scale
+    if mask is not None:
+        try:
+            scores += mask
+        except ValueError:
+            raise ShapeError(
+                f"attention: mask {mask.shape} does not broadcast to scores "
+                f"{scores.shape}"
+            ) from None
+    probs = _softmax(scores, "attention: score matrix")
+    return probs @ v, probs, scale
+
+
 def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x = _as_tensor(x)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be shape ({d},)")
-    # sum / d is what mean computes, without its per-call overhead.
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
     gd = gain.data
-    out = _result(xhat * gd + bias.data, (x, gain, bias))
+    data, xhat, inv = layer_norm_forward(x.data, gd, bias.data, eps)
+    out = _result(data, (x, gain, bias))
     if out.node is not None:
         def _bw(g):
             lead = tuple(range(g.ndim - 1))
@@ -423,6 +426,20 @@ def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
             return dx, dgain, dbias
         out.node.backward = _bw
     return out
+
+
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm on arrays over the last axis: returns the output, the
+    normalized input and the inverse standard deviations."""
+    d = x.shape[-1]
+    # sum / d is what mean computes, without its per-call overhead.
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

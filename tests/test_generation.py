@@ -36,9 +36,9 @@ class TableModel:
 
     logits_table has shape (max positions, vocab) or (max positions, vocab,
     vocab); row t (and, for the second, the previous token) scores the token
-    at decoding position t. It decodes incrementally like the real model:
-    the cache's length is the number of positions decoded before this call.
-    It has no parameters, and its encoder output is a placeholder.
+    at decoding position t. decode is teacher-forced from position 0, and
+    stepper steps one position at a time, like the real model's. It has no
+    parameters, and its encoder output is a placeholder.
     """
 
     def __init__(self, logits_table, bos_id=2, eos_id=3, pad_id=0):
@@ -51,14 +51,35 @@ class TableModel:
     def decoder_parameters(self):
         return []
 
-    def decode(self, enc_out, src_ids, dec_input_ids, cache):
-        dec_ids = np.asarray(dec_input_ids)
+    def logits(self, start, dec_ids):
+        """The (k, t, vocab) logits of dec_ids (k, t) at positions start, start + 1, ..."""
         k, t = dec_ids.shape
-        start, cache.length = cache.length, cache.length + t
         rows = self.table[np.minimum(np.arange(start, start + t), len(self.table) - 1)]
         if rows.ndim == 3:
-            return Tensor(rows[np.arange(t), dec_ids])
-        return Tensor(np.broadcast_to(rows, (k, t, self.table.shape[-1])))
+            return rows[np.arange(t), dec_ids]
+        return np.broadcast_to(rows, (k, t, self.table.shape[-1]))
+
+    def decode(self, enc_out, src_ids, dec_input_ids):
+        return Tensor(self.logits(0, np.asarray(dec_input_ids)))
+
+    def stepper(self, enc_out, src_ids):
+        return TableStepper(self)
+
+
+class TableStepper:
+    """A TableModel's stepper. Its logits depend on the position and each
+    row's last token only, so select has nothing to keep."""
+
+    def __init__(self, model):
+        self.model, self.length = model, 0
+
+    def step(self, last_ids):
+        logits = self.model.logits(self.length, np.asarray(last_ids)[:, None])[:, 0]
+        self.length += 1
+        return logits
+
+    def select(self, rows):
+        pass
 
 
 def bigram_table(default, rows, positions):
@@ -341,24 +362,32 @@ class TestBeamSearch:
         for hyp, (_, log_prob) in zip(pool, want):
             assert hyp.log_prob == pytest.approx(log_prob, abs=1e-12)
 
-    def test_one_encode_and_one_decode_per_step(self):
+    def test_one_encode_one_stepper_and_one_step_per_position(self):
         model = small_model(seed=2)
-        calls = {"encode": 0, "decode": 0}
+        calls = {"encode": 0, "decode": 0, "stepper": 0, "step": 0}
 
-        def counted(name):
-            method = getattr(model, name)
+        def counted(owner, name):
+            method = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return method(*args, **kwargs)
             return wrapper
 
-        model.encode, model.decode = counted("encode"), counted("decode")
+        def stepper(*args):
+            steps = make_stepper(*args)
+            steps.step = counted(steps, "step")
+            return steps
+
+        model.encode, model.decode = counted(model, "encode"), counted(model, "decode")
+        make_stepper, model.stepper = counted(model, "stepper"), stepper
         cfg = GenerationConfig(beam_width=4, max_length=10)
-        beam_search(model, np.array([4, 5, 6, 7]), cfg)
-        assert calls["encode"] == 1
-        # One call per search step, and one to rescore the best at float64.
-        assert 2 <= calls["decode"] <= cfg.max_length + 1
+        pool = beam_search(model, np.array([4, 5, 6, 7]), cfg)
+        assert calls["encode"] == 1 and calls["stepper"] == 1
+        # One step per position up to the longest hypothesis, and one decode,
+        # the float64 rescoring of the best.
+        assert calls["step"] == max(len(h.tokens) for h in pool)
+        assert calls["decode"] == 1
 
     def test_decoding_past_max_positions_raises(self):
         model = small_model(seed=1)
@@ -388,9 +417,12 @@ class SkewedTableModel(TableModel):
         super().__init__(logits_table)
         self.skew = np.asarray(skew, dtype=float)
 
-    def decode(self, enc_out, src_ids, dec_input_ids, cache):
-        logits = super().decode(enc_out, src_ids, dec_input_ids, cache).data
-        return Tensor(logits + self.skew if enc_out.data.dtype == np.float32 else logits)
+    def stepper(self, enc_out, src_ids):
+        steps = super().stepper(enc_out, src_ids)
+        if enc_out.dtype == np.float32:
+            step = steps.step
+            steps.step = lambda last_ids: step(last_ids) + self.skew
+        return steps
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgen.generation import GenerationConfig, beam_search
 from qgen.model import (
-    DecodeCache,
     ModelConfig,
     MultiHeadParams,
     ParameterMaker,
@@ -181,7 +182,7 @@ class TestMultiHead:
         params = MultiHeadParams(d, 2, ParameterMaker(rng), "t")
         x_q = Tensor(rng.normal(size=(3, d)))
         memory = Tensor(rng.normal(size=(5, d)))
-        out = multi_head(x_q, params, kv=params.keys_values(memory))
+        out = multi_head(x_q, params, memory=memory)
         assert out.shape == (3, d)
 
     def test_batched_equals_per_sequence(self):
@@ -250,12 +251,35 @@ class TestForward:
         assert not np.array_equal(train_a, eval_a)
 
 
+def check_steps(model, src, steps, selections=()):
+    """Step model's decoder over src (1, m): the ids of steps[0] (rows,)
+    first, then before each later steps[i] the rows selections[i - 1].
+    Each step's logits must equal, within 1e-12, the last position's of a
+    teacher-forced decode of that row's whole prefix. Returns the stepper."""
+    with no_grad():
+        enc_out, src_ids = model.encode(src)
+        stepper = model.stepper(enc_out.data, src_ids)
+        prefixes = np.empty((len(steps[0]), 0), dtype=np.int64)
+        for i, ids in enumerate(steps):
+            if i:
+                stepper.select(selections[i - 1])
+                prefixes = prefixes[selections[i - 1]]
+            prefixes = np.concatenate([prefixes, np.asarray(ids)[:, None]], axis=1)
+            got = stepper.step(ids)
+            want = model.decode(enc_out, src_ids, prefixes).data[:, -1]
+            assert got.shape == (len(ids), model.config.vocab_size)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    return stepper
+
+
 class TestCachedDecode:
     # Rows kept after each step, as a beam keeps them: repeated, reordered
     # and dropped.
     SELECTIONS = ([0, 0, 0], [2, 0, 0, 1], [3, 1], [1, 1, 0], [2, 0, 1, 1])
 
     def test_last_row_logits_match_full_prefix_decode(self):
+        """The stepper against the teacher-forced decode of each prefix, with
+        a source that ends in [PAD] and a [PAD] decoded mid-sequence."""
         configs = (
             small_config(),
             small_config(share_embeddings=False, dec_layers=1),
@@ -266,60 +290,81 @@ class TestCachedDecode:
             rng = np.random.default_rng(5)
             src = rng.integers(4, cfg.vocab_size, size=(1, 9))
             src[0, -2:] = cfg.pad_id
-            with no_grad():
-                enc_out, src_ids = model.encode(src)
-                cache = DecodeCache()
-                # The first call takes a three-token prefix with a [PAD] in it.
-                prefixes = np.array([[cfg.bos_id, 5, cfg.pad_id]])
-                got = model.decode(enc_out, src_ids, prefixes, cache=cache).data
-                want = model.decode(enc_out, src_ids, prefixes).data
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-                for step, rows in enumerate(self.SELECTIONS):
-                    cache.select(rows)
-                    new = rng.integers(4, cfg.vocab_size, size=(len(rows), 1))
-                    new[step % len(rows), 0] = cfg.pad_id
-                    prefixes = np.concatenate([prefixes[rows], new], axis=1)
-                    got = model.decode(enc_out, src_ids, new, cache=cache).data
-                    want = model.decode(enc_out, src_ids, prefixes).data
-                    assert got.shape == (len(rows), 1, cfg.vocab_size)
-                    np.testing.assert_allclose(got[:, -1], want[:, -1], rtol=0,
-                                               atol=1e-12)
-            assert cache.length == prefixes.shape[1]
+            steps = [np.array([cfg.bos_id]), np.array([5]), np.array([cfg.pad_id])]
+            for step, rows in enumerate(self.SELECTIONS):
+                new = rng.integers(4, cfg.vocab_size, size=len(rows))
+                new[step % len(rows)] = cfg.pad_id
+                steps.append(new)
+            selections = ([0], [0], *self.SELECTIONS)
+            stepper = check_steps(model, src, steps, selections)
+            assert stepper.length == len(steps)
+
+    def test_source_without_pad_and_rows_from_the_start(self):
+        model = TransformerModel(small_config(), seed=14)
+        bos = model.config.bos_id
+        steps = [np.array([bos, bos]), np.array([7, 9]), np.array([4, 4, 11])]
+        check_steps(model, np.array([[4, 5, 6, 7]]), steps, ([1, 0], [0, 1, 1]))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_steps_match_decode_on_random_searches(self, data):
+        heads = data.draw(st.sampled_from([1, 2]))
+        cfg = small_config(vocab_size=8, d_model=4, num_heads=heads, d_ff=8,
+                           enc_layers=1, dec_layers=data.draw(st.integers(1, 2)),
+                           max_positions=8,
+                           share_embeddings=data.draw(st.booleans()))
+        model = TransformerModel(cfg, seed=data.draw(st.integers(0, 3)))
+        ids = st.integers(0, cfg.vocab_size - 1)
+        src = data.draw(st.lists(ids, min_size=1, max_size=6))
+        rows = data.draw(st.integers(1, 3))
+        steps, selections = [np.full(rows, cfg.bos_id)], []
+        for _ in range(data.draw(st.integers(0, 6))):
+            kept = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3))
+            selections.append(kept)
+            rows = len(kept)
+            steps.append(np.array(data.draw(st.lists(ids, min_size=rows, max_size=rows))))
+        check_steps(model, np.array([src]), steps, selections)
+
+    def test_out_of_range_id_and_position_raise(self):
+        model = TransformerModel(small_config(max_positions=3), seed=15)
+        with no_grad():
+            enc_out, src_ids = model.encode([4, 5, 6])
+            stepper = model.stepper(enc_out.data, src_ids)
+            with pytest.raises(ShapeError, match=re.escape(
+                    "decoder input id out of range [0, 16)")):
+                stepper.step(np.array([2, 16]))
+            for _ in range(3):
+                stepper.step(np.array([2, 4]))
+            with pytest.raises(ShapeError,
+                               match="decoder input length 4 exceeds max positions 3"):
+                stepper.step(np.array([2, 4]))
 
     def test_batch_rows_match_their_single_record_decode(self):
-        # Two records of different lengths, encoded as one padded batch and
-        # decoded through one cache: row i reads source i.
+        # Two records of different lengths, encoded and decoded as one
+        # padded batch: row i reads source i.
         cfg = small_config()
         model = TransformerModel(cfg, seed=13)
         records = [[4, 5, 6, 7, 8], [9, 10, 11]]
         src = np.full((2, 5), cfg.pad_id)
         for i, record in enumerate(records):
             src[i, : len(record)] = record
-        steps = np.random.default_rng(6).integers(4, cfg.vocab_size, size=(3, 2, 1))
-        steps[0] = cfg.bos_id
+        dec_in = np.random.default_rng(6).integers(4, cfg.vocab_size, size=(2, 3))
+        dec_in[:, 0] = cfg.bos_id
         with no_grad():
             enc_out, src_ids = model.encode(src)
-            cache = DecodeCache()
-            got = [model.decode(enc_out, src_ids, step, cache=cache).data
-                   for step in steps]
+            got = model.decode(enc_out, src_ids, dec_in).data
             for i, record in enumerate(records):
                 one_out, one_ids = model.encode(record)
-                one_cache = DecodeCache()
-                for step, logits in zip(steps, got):
-                    want = model.decode(one_out, one_ids, step[i:i + 1],
-                                        cache=one_cache).data
-                    np.testing.assert_allclose(logits[i], want[0], rtol=0, atol=1e-12)
+                want = model.decode(one_out, one_ids, dec_in[i:i + 1]).data
+                np.testing.assert_allclose(got[i], want[0], rtol=0, atol=1e-12)
 
-    def test_select_takes_only_one_source(self):
+    def test_stepper_takes_only_one_source(self):
         model = TransformerModel(small_config(), seed=12)
         src = np.array([[4, 5, 6], [7, 8, model.config.pad_id]])
         with no_grad():
             enc_out, src_ids = model.encode(src)
-            cache = DecodeCache()
-            model.decode(enc_out, src_ids, np.full((2, 1), model.config.bos_id),
-                         cache=cache)
             with pytest.raises(ShapeError, match="one source"):
-                cache.select([0, 0])
+                model.stepper(enc_out.data, src_ids)
 
 
 class TestModelGradients:
