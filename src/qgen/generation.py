@@ -63,63 +63,6 @@ def _top_k(logp: np.ndarray, width: int) -> np.ndarray:
     return ids[order][starts[:, None] + np.arange(k)]
 
 
-def _search(
-    model, enc_out, src_ids, cfg: GenerationConfig
-) -> tuple[list[BeamHypothesis], BeamHypothesis]:
-    """Breadth-limited best-first decoding, width cfg.beam_width, from the
-    encoder output enc_out of src_ids, with the greedy search alongside.
-
-    Returns the width-search's finished pool unsorted, and the greedy
-    completion. Each live hypothesis expands by its width most probable
-    tokens (ties go to the smallest token id); the width best continuations
-    by cumulative log-probability stay live. Hypotheses that emit the end
-    marker move to the finished pool; anything still live at max_length is
-    completed with the end marker and its actual log-probability. Above
-    width 1 the greedy search (width 1) rides as one more row of the same
-    batch until it finishes. Each position is one step of the model's
-    stepper (model.stepper) on the last tokens of all live hypotheses.
-    """
-    eos, width = model.config.eos_id, cfg.beam_width
-    widths = (width,) if width == 1 else (width, 1)
-    pools: list[list[BeamHypothesis]] = [[] for _ in widths]
-    with no_grad():
-        stepper = model.stepper(enc_out, src_ids)
-        # (search, tokens, log-probability); the stepper's row is the list index
-        live: list[tuple[int, tuple[int, ...], float]] = [
-            (search, (), 0.0) for search in range(len(widths))
-        ]
-        last = np.full(len(widths), model.config.bos_id, dtype=np.int64)
-        for position in range(1, cfg.max_length + 1):
-            logp = log_softmax(stepper.step(last), "decoder logits")
-            if position == cfg.max_length:
-                picks = np.full((len(live), 1), eos)
-            else:
-                picks = _top_k(logp, width)
-            candidates: list[list] = [[] for _ in widths]
-            for row, (search, tokens, total) in enumerate(live):
-                for t in picks[row, : widths[search]]:
-                    candidates[search].append(
-                        (tokens + (int(t),), total + float(logp[row, t]), row)
-                    )
-            live, rows = [], []
-            for search, found in enumerate(candidates):
-                kept = []
-                for tokens, total, row in found:
-                    if tokens[-1] == eos:
-                        pools[search].append(BeamHypothesis(tokens, total))
-                    else:
-                        kept.append((tokens, total, row))
-                kept.sort(key=lambda c: (-c[1], c[0]))
-                for tokens, total, row in kept[: widths[search]]:
-                    live.append((search, tokens, total))
-                    rows.append(row)
-            if not live:
-                break
-            stepper.select(rows)
-            last = np.array([tokens[-1] for _, tokens, _ in live], dtype=np.int64)
-    return pools[0], pools[-1][0]
-
-
 def greedy_decode(model, input_ids, cfg: GenerationConfig) -> BeamHypothesis:
     """Argmax decoding, the width-1 beam; ties go to the smallest token id."""
     return beam_search(model, input_ids, replace(cfg, beam_width=1))[0]
@@ -128,29 +71,66 @@ def greedy_decode(model, input_ids, cfg: GenerationConfig) -> BeamHypothesis:
 def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]:
     """The cfg.beam_width search, best first.
 
-    The source is encoded once, at float64. The search's decoder steps run
-    at COMPUTE_DTYPE, on a copy of the encoder output and on copies of the
-    parameters the decoder reads, made for this call. The greedy completion,
-    decoded in the same batch, is always merged into the pool, so widening
-    the beam never ranks below greedy. Hypotheses are ranked by
-    log-probability / length^alpha, ties broken by token ids. Those whose
-    search score is within RESCORE_MARGIN * (1 + |best|) of the best come
-    first, their log_prob rescored at float64 by one teacher-forced decoder
-    call on the float64 encoder output; the rest follow, carrying their
-    search log_prob.
+    Each live hypothesis expands by its width most probable tokens (ties go
+    to the smallest token id). Each position ranks all live rows'
+    continuations in one pass: those ending in the end marker join the
+    finished pool, and the width best of the rest by cumulative
+    log-probability (ties to the smaller token ids) stay live; at max_length
+    every live hypothesis is completed with the end marker. Above width 1 the
+    greedy search rides as one more row of the same batch until it
+    finishes, so its completion is in the pool (the beam's entry where both
+    finish the same tokens) and widening the beam never ranks below greedy.
+
+    The source is encoded once, at float64. Each position is one step of
+    model.stepper on all live rows' last tokens, at COMPUTE_DTYPE, on copies
+    of the encoder output and of the parameters the decoder reads, made for
+    this call. Hypotheses are ranked by log-probability / length^alpha, ties
+    broken by token ids. Those whose search score is within
+    RESCORE_MARGIN * (1 + |best|) of the best come first, their log_prob
+    rescored at float64 by one teacher-forced decoder call on the float64
+    encoder output; the rest follow, carrying their search log_prob.
     """
-    alpha = cfg.length_alpha
+    alpha, eos, width = cfg.length_alpha, model.config.eos_id, cfg.beam_width
+    widths = (width,) if width == 1 else (width, 1)
+    # tokens -> ((search, position, row), hypothesis)
+    finished: dict[tuple[int, ...], tuple] = {}
     with no_grad():
         enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
         with compute_copies(model.decoder_parameters(), COMPUTE_DTYPE):
-            low = enc_out.data.astype(COMPUTE_DTYPE)
-            finished, greedy = _search(model, low, src_ids, cfg)
-        if all(h.tokens != greedy.tokens for h in finished):
-            finished.append(greedy)
-        best = max(h.score(alpha) for h in finished)
+            stepper = model.stepper(enc_out.data.astype(COMPUTE_DTYPE), src_ids)
+            # (search, tokens, log-probability); the stepper's row is the list index
+            live = [(search, (), 0.0) for search in range(len(widths))]
+            last = np.full(len(live), model.config.bos_id, dtype=np.int64)
+            for position in range(1, cfg.max_length + 1):
+                logp = log_softmax(stepper.step(last), "decoder logits")
+                if position == cfg.max_length:
+                    picks = np.full((len(live), 1), eos)
+                else:
+                    picks = _top_k(logp, width)
+                candidates = sorted(
+                    (search, -(total + float(logp[row, t])), tokens + (int(t),), row)
+                    for row, (search, tokens, total) in enumerate(live)
+                    for t in picks[row, : widths[search]])
+                live, rows, taken = [], [], [0] * len(widths)
+                for search, cost, tokens, row in candidates:
+                    if tokens[-1] == eos:
+                        finished.setdefault(tokens, ((search, position, row),
+                                                     BeamHypothesis(tokens, -cost)))
+                    elif taken[search] < widths[search]:
+                        taken[search] += 1
+                        live.append((search, tokens, -cost))
+                        rows.append(row)
+                if not live:
+                    break
+                stepper.select(rows)
+                last = np.array([tokens[-1] for _, tokens, _ in live], dtype=np.int64)
+        best = max(h.score(alpha) for _, h in finished.values())
         floor = best - RESCORE_MARGIN * (1.0 + abs(best))
-        near = [h for h in finished if h.score(alpha) >= floor]
-        rest = [h for h in finished if h.score(alpha) < floor]
+        # The decoder call's rows may round by their place in the batch, so
+        # the near set goes in the order found: by search, position and row.
+        found = [h for _, h in sorted(finished.values(), key=lambda f: f[0])]
+        near = [h for h in found if h.score(alpha) >= floor]
+        rest = [h for h in found if h.score(alpha) < floor]
         near = _teacher_forced(model, enc_out, src_ids, near)
 
     def ranked(pool):

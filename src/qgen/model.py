@@ -14,7 +14,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -84,8 +84,10 @@ class ModelConfig:
                                  f"{self.vocab_size}), got {value!r}")
 
 
+@lru_cache
 def positional_encoding(max_len: int, d_model: int) -> Tensor:
-    """Fixed sinusoidal position table: sin on even columns, cos on odd."""
+    """Fixed sinusoidal position table: sin on even columns, cos on odd.
+    Made once per shape and read-only, so every model of a shape shares it."""
     if max_len <= 0 or d_model <= 0:
         raise ValueError("positional_encoding dims must be positive")
     if d_model % 2 != 0:
@@ -96,6 +98,7 @@ def positional_encoding(max_len: int, d_model: int) -> Tensor:
     table = np.zeros((max_len, d_model))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
+    table.flags.writeable = False
     return Tensor(table)
 
 

@@ -21,7 +21,7 @@ from qgen.generation import (
 from qgen.model import ModelConfig, TransformerModel
 from qgen.preprocess import PreprocessError, postprocess_question, preprocess_pair
 from qgen.squad import DEFAULT_BUCKET_BOUNDS, clip_input
-from qgen.tensor import ShapeError, Tensor, log_softmax, no_grad
+from qgen.tensor import ShapeError, Tensor, compute_copies, log_softmax, no_grad
 from qgen.wordpiece import TokenSequence
 
 # The largest |log_prob - float64 value| a hypothesis beam_search does not
@@ -136,6 +136,68 @@ def reference_greedy(model, input_ids, max_length):
             if token == eos:
                 break
     return BeamHypothesis(tokens, total)
+
+
+def reference_beam(model, input_ids, cfg):
+    """The search as two searches, written out apart from beam_search: the
+    width-cfg.beam_width beam and, above width 1, the greedy search, each
+    with its own candidates, ranking and finished pool, stepped in one batch.
+    The greedy completion joins the beam's pool unless the beam finished the
+    same tokens; rescoring and ranking are beam_search's."""
+    eos, width, alpha = model.config.eos_id, cfg.beam_width, cfg.length_alpha
+    widths = (width,) if width == 1 else (width, 1)
+    pools = [[] for _ in widths]
+    with no_grad():
+        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
+        with compute_copies(model.decoder_parameters(), generation.COMPUTE_DTYPE):
+            stepper = model.stepper(enc_out.data.astype(generation.COMPUTE_DTYPE),
+                                    src_ids)
+            live = [(search, (), 0.0) for search in range(len(widths))]
+            last = np.full(len(widths), model.config.bos_id, dtype=np.int64)
+            for position in range(1, cfg.max_length + 1):
+                logp = log_softmax(stepper.step(last), "decoder logits")
+                if position == cfg.max_length:
+                    picks = np.full((len(live), 1), eos)
+                else:
+                    picks = _top_k(logp, width)
+                candidates = [[] for _ in widths]
+                for row, (search, tokens, total) in enumerate(live):
+                    for t in picks[row, : widths[search]]:
+                        candidates[search].append(
+                            (tokens + (int(t),), total + float(logp[row, t]), row))
+                live, rows = [], []
+                for search, found in enumerate(candidates):
+                    kept = []
+                    for tokens, total, row in found:
+                        if tokens[-1] == eos:
+                            pools[search].append(BeamHypothesis(tokens, total))
+                        else:
+                            kept.append((tokens, total, row))
+                    kept.sort(key=lambda c: (-c[1], c[0]))
+                    for tokens, total, row in kept[: widths[search]]:
+                        live.append((search, tokens, total))
+                        rows.append(row)
+                if not live:
+                    break
+                stepper.select(rows)
+                last = np.array([tokens[-1] for _, tokens, _ in live], dtype=np.int64)
+        finished, greedy = pools[0], pools[-1][0]
+        if all(h.tokens != greedy.tokens for h in finished):
+            finished.append(greedy)
+        best = max(h.score(alpha) for h in finished)
+        floor = best - RESCORE_MARGIN * (1.0 + abs(best))
+        near = [h for h in finished if h.score(alpha) >= floor]
+        rest = [h for h in finished if h.score(alpha) < floor]
+        near = generation._teacher_forced(model, enc_out, src_ids, near)
+    return (sorted(near, key=lambda h: (-h.score(alpha), h.tokens))
+            + sorted(rest, key=lambda h: (-h.score(alpha), h.tokens)))
+
+
+def assert_same_pool(got, want):
+    """The same hypotheses in the same order, log_probs within 1e-12."""
+    assert [h.tokens for h in got] == [h.tokens for h in want]
+    for hyp, reference in zip(got, want):
+        assert hyp.log_prob == pytest.approx(reference.log_prob, abs=1e-12)
 
 
 def forward_log_prob(model, input_ids, tokens):
@@ -361,6 +423,46 @@ class TestBeamSearch:
         assert [h.tokens for h in pool] == [tokens for tokens, _ in want]
         for hyp, (_, log_prob) in zip(pool, want):
             assert hyp.log_prob == pytest.approx(log_prob, abs=1e-12)
+
+    def test_equal_live_continuations_rank_by_tokens(self):
+        # After step 2 the beam's (1, 0) and (0, 1) tie exactly: ranking by
+        # tokens keeps (0, 1), where row order would keep (1, 0).
+        ln = math.log
+        table = np.tile([ln(.25), ln(.5), -math.inf, ln(.125), ln(.125)], (3, 1))
+        cfg = GenerationConfig(beam_width=2, max_length=3, length_alpha=0.6)
+        pool = beam_search(TableModel(table), np.array([1]), cfg)
+        want = [
+            ((1, 1, 3), ln(.5) + ln(.5) + ln(.125)),
+            ((0, 1, 3), ln(.25) + ln(.5) + ln(.125)),
+        ]
+        assert [h.tokens for h in pool] == [tokens for tokens, _ in want]
+        for hyp, (_, log_prob) in zip(pool, want):
+            assert hyp.log_prob == pytest.approx(log_prob, abs=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_matches_the_two_search_reference(self, width):
+        """Whole pools on random bigram tables whose logits take 2-4 distinct
+        values, so tokens and totals tie."""
+        rng = np.random.default_rng(width)
+        for max_length in (2, 3, 4, 5):
+            cfg = GenerationConfig(beam_width=width, max_length=max_length)
+            for _ in range(25):
+                values = rng.normal(size=rng.integers(2, 5))
+                vocab = int(rng.integers(4, 8))
+                model = TableModel(values[rng.integers(
+                    0, len(values), size=(max_length, vocab, vocab))])
+                assert_same_pool(beam_search(model, np.array([1]), cfg),
+                                 reference_beam(model, np.array([1]), cfg))
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_matches_the_two_search_reference_on_a_model(self, width):
+        rng = np.random.default_rng(width)
+        cfg = GenerationConfig(beam_width=width, max_length=8)
+        for seed in range(4):
+            model = small_model(seed=seed)
+            ids = rng.integers(4, 10, size=int(rng.integers(1, 8)))
+            assert_same_pool(beam_search(model, ids, cfg),
+                             reference_beam(model, ids, cfg))
 
     def test_one_encode_one_stepper_and_one_step_per_position(self):
         model = small_model(seed=2)

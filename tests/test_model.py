@@ -69,6 +69,13 @@ class TestPositionalEncoding:
         with pytest.raises(ValueError, match="even"):
             positional_encoding(4, 7)
 
+    def test_models_of_one_shape_share_one_read_only_table(self):
+        a = TransformerModel(small_config(), seed=0)
+        b = TransformerModel(small_config(vocab_size=12), seed=1)
+        assert a.positions.data is b.positions.data
+        with pytest.raises(ValueError, match="read-only"):
+            a.positions.data[0, 0] = 1.0
+
 
 class TestAttention:
     def test_single_key_returns_value_row(self):
