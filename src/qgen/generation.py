@@ -10,7 +10,7 @@ import numpy as np
 
 from .preprocess import ENTITY_TAGS, EntityTagger, PreprocessError, preprocess_pair
 from .squad import MAX_INPUT_IDS, clip_input
-from .tensor import COMPUTE_DTYPE, compute_copies, log_softmax, no_grad
+from .tensor import COMPUTE_DTYPE, log_softmax, no_grad
 from .wordpiece import TokenSequence, Vocabulary
 from . import preprocess as _preprocess
 
@@ -82,9 +82,8 @@ def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]
     finish the same tokens) and widening the beam never ranks below greedy.
 
     The source is encoded once, at float64. Each position is one step of
-    model.stepper on all live rows' last tokens, at COMPUTE_DTYPE, on copies
-    of the encoder output and of the parameters the decoder reads, made for
-    this call. Hypotheses are ranked by log-probability / length^alpha, ties
+    model.stepper on all live rows' last tokens, at COMPUTE_DTYPE: the
+    stepper is built for this call on a copy of the encoder output. Hypotheses are ranked by log-probability / length^alpha, ties
     broken by token ids. Those whose search score is within
     RESCORE_MARGIN * (1 + |best|) of the best come first, their log_prob
     rescored at float64 by one teacher-forced decoder call on the float64
@@ -96,34 +95,33 @@ def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]
     finished: dict[tuple[int, ...], tuple] = {}
     with no_grad():
         enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
-        with compute_copies(model.decoder_parameters(), COMPUTE_DTYPE):
-            stepper = model.stepper(enc_out.data.astype(COMPUTE_DTYPE), src_ids)
-            # (search, tokens, log-probability); the stepper's row is the list index
-            live = [(search, (), 0.0) for search in range(len(widths))]
-            last = np.full(len(live), model.config.bos_id, dtype=np.int64)
-            for position in range(1, cfg.max_length + 1):
-                logp = log_softmax(stepper.step(last), "decoder logits")
-                if position == cfg.max_length:
-                    picks = np.full((len(live), 1), eos)
-                else:
-                    picks = _top_k(logp, width)
-                candidates = sorted(
-                    (search, -(total + float(logp[row, t])), tokens + (int(t),), row)
-                    for row, (search, tokens, total) in enumerate(live)
-                    for t in picks[row, : widths[search]])
-                live, rows, taken = [], [], [0] * len(widths)
-                for search, cost, tokens, row in candidates:
-                    if tokens[-1] == eos:
-                        finished.setdefault(tokens, ((search, position, row),
-                                                     BeamHypothesis(tokens, -cost)))
-                    elif taken[search] < widths[search]:
-                        taken[search] += 1
-                        live.append((search, tokens, -cost))
-                        rows.append(row)
-                if not live:
-                    break
-                stepper.select(rows)
-                last = np.array([tokens[-1] for _, tokens, _ in live], dtype=np.int64)
+        stepper = model.stepper(enc_out.data.astype(COMPUTE_DTYPE), src_ids, cfg.max_length)
+        # (search, tokens, log-probability); the stepper's row is the list index
+        live = [(search, (), 0.0) for search in range(len(widths))]
+        last = np.full(len(live), model.config.bos_id, dtype=np.int64)
+        for position in range(1, cfg.max_length + 1):
+            logp = log_softmax(stepper.step(last), "decoder logits")
+            if position == cfg.max_length:
+                picks = np.full((len(live), 1), eos)
+            else:
+                picks = _top_k(logp, width)
+            candidates = sorted(
+                (search, -(total + float(logp[row, t])), tokens + (int(t),), row)
+                for row, (search, tokens, total) in enumerate(live)
+                for t in picks[row, : widths[search]])
+            live, rows, taken = [], [], [0] * len(widths)
+            for search, cost, tokens, row in candidates:
+                if tokens[-1] == eos:
+                    finished.setdefault(tokens, ((search, position, row),
+                                                 BeamHypothesis(tokens, -cost)))
+                elif taken[search] < widths[search]:
+                    taken[search] += 1
+                    live.append((search, tokens, -cost))
+                    rows.append(row)
+            if not live:
+                break
+            stepper.select(rows)
+            last = np.array([tokens[-1] for _, tokens, _ in live], dtype=np.int64)
         best = max(h.score(alpha) for _, h in finished.values())
         floor = best - RESCORE_MARGIN * (1.0 + abs(best))
         # The decoder call's rows may round by their place in the batch, so

@@ -34,7 +34,6 @@ from .tensor import (  # noqa: F401
     dropout,
     embedding,
     layer_norm,
-    layer_norm_forward,
     matmul,
     mul,
     relu,
@@ -194,9 +193,6 @@ class _LayerNormParams:
     def __call__(self, x) -> Tensor:
         return layer_norm(x, self.gain, self.bias)
 
-    def on_array(self, x: np.ndarray) -> np.ndarray:
-        return layer_norm_forward(x, self.gain.data, self.bias.data)[0]
-
 
 class _FeedForward:
     def __init__(self, d_model: int, d_ff: int, make: ParameterMaker, prefix: str):
@@ -207,10 +203,6 @@ class _FeedForward:
 
     def __call__(self, x) -> Tensor:
         return add(matmul(relu(add(matmul(x, self.w1), self.b1)), self.w2), self.b2)
-
-    def on_array(self, x: np.ndarray) -> np.ndarray:
-        hidden = np.maximum(x @ self.w1.data + self.b1.data, 0.0)
-        return hidden @ self.w2.data + self.b2.data
 
 
 class _EncoderLayer:
@@ -245,85 +237,120 @@ class _DecoderLayer:
                            self.rate, rng))
         return add(x, dropout(self.ffn(self.ln3(x)), self.rate, rng))
 
-    def step(self, x: np.ndarray, kv: list, cross_kv, self_mask, cross_mask) -> np.ndarray:
-        """__call__ on arrays, without dropout, for the next position of each
-        row, x (rows, d_model). kv holds the rows' self-attention keys and
-        values, (rows, h, t, d_head) or None, and gains this position's;
-        cross_kv the source's keys (h, d_head, m) and values (h, m, d_head)."""
-        (rows, d), heads = x.shape, self.self_attn.num_heads
 
-        def split(x, weight):  # (rows, d) -> (rows, h, 1, d_head)
-            return (x @ weight.data).reshape(rows, heads, 1, d // heads)
-
-        h = self.ln1.on_array(x)
-        kv[0] = _grow(kv[0], split(h, self.self_attn.wk), -2)
-        kv[1] = _grow(kv[1], split(h, self.self_attn.wv), -2)
-        out = attention_forward(split(h, self.self_attn.wq), np.swapaxes(kv[0], -1, -2),
-                                kv[1], self_mask)[0]
-        x = x + out.reshape(rows, d) @ self.self_attn.wo.data
-        q = split(self.ln2.on_array(x), self.cross_attn.wq)[:, :, 0].swapaxes(0, 1)
-        out = attention_forward(q, *cross_kv, cross_mask)[0]  # (h, rows, d_head)
-        x = x + out.swapaxes(0, 1).reshape(rows, d) @ self.cross_attn.wo.data
-        return x + self.ffn.on_array(self.ln3.on_array(x))
-
-
-def _grow(old: np.ndarray | None, new: np.ndarray, axis: int) -> np.ndarray:
-    return new if old is None else np.concatenate([old, new], axis=axis)
+def _normalized(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Layer norm without gain and bias, into a new array; mean is a
+    (d_model, 1) column of 1 / d_model at x's dtype."""
+    xc = x - x @ mean
+    var = (xc * xc) @ mean
+    var += 1e-5  # layer_norm's eps
+    xc /= np.sqrt(var, out=var)
+    return xc
 
 
 class DecoderStepper:
     """The decoder run one position at a time over the rows (beams) of one
-    source, on the parameters' arrays at their dtype, off the autodiff graph.
+    source, on plain arrays at the encoder output's dtype, off the graph.
 
-    Per row it keeps each layer's self-attention keys and values and, once
-    some row has decoded [PAD], the mask hiding those positions. Per source:
-    each layer's cross-attention keys and values, the [PAD] mask (none if the
-    source has no [PAD]) and a contiguous output projection.
+    Per search it builds from the float64 masters every array a step reads.
+    Each layer norm's gain is folded into the rows of the product after it,
+    and its bias into that product's bias: ln1 into one [wq|wk|wv], ln2 into
+    the cross-attention wq, ln3 into w1 and dec_norm into the output
+    projection. Per source it holds each layer's cross-attention keys and
+    values and the [PAD] mask (none if the source has no [PAD]). Per row it
+    writes each layer's self-attention keys and values in place into one
+    buffer of max_length positions, and, once some row has decoded [PAD],
+    keeps the mask hiding those positions.
     """
 
-    def __init__(self, model: "TransformerModel", enc_out: np.ndarray, src_ids: np.ndarray):
-        """enc_out (1, m, d_model) is the encoder output of src_ids (1, m)."""
+    def __init__(self, model: "TransformerModel", enc_out: np.ndarray, src_ids: np.ndarray,
+                 max_length: int | None = None):
+        """enc_out (1, m, d_model) is the encoder output of src_ids (1, m);
+        max_length (the model's max_positions if None) bounds the steps."""
         if len(src_ids) != 1:
             raise ShapeError(f"the decoder steps over one source, got {len(src_ids)}")
-        self.model, self.length = model, 0
-        self.self_kv = [[None, None] for _ in model.dec_layers]
-        self.self_mask: np.ndarray | None = None  # (rows, 1, 1, length)
-        enc, m, heads = enc_out[0], src_ids.shape[-1], model.config.num_heads
+        cfg, dtype, enc = model.config, enc_out.dtype, enc_out[0]
+        self.model, self.length, self.kv = model, 0, None
+        self.max_length = cfg.max_positions if max_length is None else max_length
+        self.self_mask: np.ndarray | None = None  # (rows, 1, 1, max_length)
+        heads, d_head = cfg.num_heads, cfg.d_model // cfg.num_heads
+        self.kv_shape = (len(model.dec_layers), 2, heads, self.max_length, d_head)
 
-        def split(weight):  # (h, m, d_head)
-            return (enc @ weight.data).reshape(m, heads, -1).transpose(1, 0, 2)
+        def folded(norm, weights, bias=0.0):  # norm, then weights side by side
+            folded = np.concatenate(weights, axis=1, dtype=dtype)
+            folded *= norm.gain.data.astype(dtype)[:, None]
+            return folded, (np.concatenate([norm.bias.data @ w for w in weights]) + bias
+                            ).astype(dtype)
 
-        self.cross_kv = [(np.ascontiguousarray(split(layer.cross_attn.wk).swapaxes(1, 2)),
-                          np.ascontiguousarray(split(layer.cross_attn.wv)))
-                         for layer in model.dec_layers]
-        has_pad = (src_ids == model.config.pad_id).any()
-        self.cross_mask = model._pad_mask(src_ids)[0, 0] if has_pad else None  # (1, m)
+        self.layers = []
+        for layer in model.dec_layers:
+            attn, cross, ffn = layer.self_attn, layer.cross_attn, layer.ffn
+            cross_kv = enc @ np.concatenate([cross.wk.data, cross.wv.data], axis=1, dtype=dtype)
+            cross_kv = cross_kv.reshape(-1, 2, heads, d_head)  # (m, [k|v], h, d_head)
+            self.layers.append((
+                *folded(layer.ln1, [attn.wq.data, attn.wk.data, attn.wv.data]),
+                attn.wo.data.astype(dtype),
+                *folded(layer.ln2, [cross.wq.data]),
+                cross.wo.data.astype(dtype),
+                np.ascontiguousarray(cross_kv[:, 0].transpose(1, 2, 0)),  # (h, d_head, m)
+                np.ascontiguousarray(cross_kv[:, 1].transpose(1, 0, 2)),  # (h, m, d_head)
+                *folded(layer.ln3, [ffn.w1.data], ffn.b1.data),
+                ffn.w2.data.astype(dtype), ffn.b2.data.astype(dtype)))
         out_proj = model.embed.data.T if model.out_proj is None else model.out_proj.data
-        self.out_proj = np.ascontiguousarray(out_proj)  # (d_model, V)
+        self.out_proj, self.out_bias = folded(model.dec_norm, [out_proj])  # (d_model, V)
+        self.embed = model.embed.data.astype(dtype)
+        self.embed *= dtype.type(np.sqrt(cfg.d_model))  # as _embed_sequence scales
+        self.positions = model.positions.data[: self.max_length].astype(dtype)
+        self.mean = np.full((cfg.d_model, 1), 1.0 / cfg.d_model, dtype)
+        has_pad = (src_ids == cfg.pad_id).any()
+        self.cross_mask = model._pad_mask(src_ids)[0, 0].astype(dtype) if has_pad else None
 
     def step(self, last_ids) -> np.ndarray:
         """Decode each row's next position from its last token; returns the
         next-token logits, (rows, V)."""
-        model = self.model
+        model, t = self.model, self.length
         ids = np.asarray(last_ids, dtype=np.int64)
-        model._check_ids(ids, "decoder input", self.length + 1)
-        pad = model._pad_mask(ids[:, None])
+        model._check_ids(ids, "decoder input", t + 1)
+        if t == self.max_length:
+            raise ShapeError(f"the stepper holds {self.max_length} positions")
+        rows, heads, mean = len(ids), self.kv_shape[2], self.mean
+        if self.kv is None:
+            self.kv = np.empty((rows, *self.kv_shape), mean.dtype)
+        pad = ids == model.config.pad_id
         if self.self_mask is None and pad.any():
-            self.self_mask = np.zeros((len(ids), 1, 1, self.length), pad.dtype)
+            self.self_mask = np.zeros((rows, 1, 1, self.max_length), mean.dtype)
         if self.self_mask is not None:
-            self.self_mask = np.concatenate([self.self_mask, pad], axis=-1)
-        scale = model.dtype.type(np.sqrt(model.config.d_model))  # as _embed_sequence
-        x = model.embed.data[ids] * scale + model.positions.data[self.length].astype(scale.dtype)
-        self.length += 1
-        for layer, kv, cross_kv in zip(model.dec_layers, self.self_kv, self.cross_kv):
-            x = layer.step(x, kv, cross_kv, self.self_mask, self.cross_mask)
-        return model.dec_norm.on_array(x) @ self.out_proj
+            self.self_mask[pad, 0, 0, t] = MASK_VALUE
+        mask = None if self.self_mask is None else self.self_mask[..., : t + 1]
+        self.length = t + 1
+        x = self.embed[ids] + self.positions[t]
+        for (wqkv, bqkv, wo, wq, bq, cross_wo, cross_k, cross_v, w1, b1, w2, b2), kv in zip(
+                self.layers, self.kv.swapaxes(0, 1)):
+            qkv = _normalized(x, mean) @ wqkv
+            qkv += bqkv
+            qkv = qkv.reshape(rows, 3, heads, -1)  # (rows, [q|k|v], h, d_head)
+            kv[:, :, :, t] = qkv[:, 1:]
+            keys, values = kv[:, 0, :, : t + 1], kv[:, 1, :, : t + 1]
+            out = attention_forward(qkv[:, 0, :, None], keys.swapaxes(-1, -2), values, mask)[0]
+            x += out.reshape(rows, -1) @ wo
+            q = _normalized(x, mean) @ wq
+            q += bq
+            q = q.reshape(rows, heads, -1).swapaxes(0, 1)  # (h, rows, d_head)
+            out = attention_forward(q, cross_k, cross_v, self.cross_mask)[0]
+            x += out.swapaxes(0, 1).reshape(rows, -1) @ cross_wo
+            hidden = _normalized(x, mean) @ w1
+            hidden += b1
+            x += np.maximum(hidden, 0.0, out=hidden) @ w2
+            x += b2
+        logits = _normalized(x, mean) @ self.out_proj
+        logits += self.out_bias
+        return logits
 
     def select(self, rows) -> None:
         """Keep these rows, in this order; a row may repeat or be dropped."""
-        rows = np.asarray(rows, dtype=np.int64)
-        for kv in self.self_kv:
-            kv[:] = kv[0][rows], kv[1][rows]
+        if list(rows) == list(range(len(self.kv))):  # kept as they are
+            return
+        self.kv = self.kv[rows]
         if self.self_mask is not None:
             self.self_mask = self.self_mask[rows]
 
@@ -363,10 +390,6 @@ class TransformerModel:
     def parameters(self) -> list[Parameter]:
         return list(self._parameters)
 
-    def decoder_parameters(self) -> list[Parameter]:
-        """The parameters decode reads: all but the encoder's."""
-        return [p for p in self._parameters if not p.name.startswith("enc")]
-
     def zero_grads(self) -> None:
         for p in self._parameters:
             p.zero_grad()
@@ -374,7 +397,7 @@ class TransformerModel:
     @property
     def dtype(self) -> np.dtype:
         """The dtype the model computes in: its parameters' (float64, but
-        for the compute copies a training step or a beam search swaps in)."""
+        for the compute copies a training step swaps in)."""
         return self.embed.data.dtype
 
     # -- masks ----------------------------------------------------------
@@ -425,7 +448,8 @@ class TransformerModel:
         """Returns (encoder output, batched input ids)."""
         ids, _ = self._as_batch(input_ids)
         self._check_ids(ids, "input")
-        mask = self._pad_mask(ids)
+        # Without a [PAD] the mask would add zeros.
+        mask = self._pad_mask(ids) if (ids == self.config.pad_id).any() else None
         x = self._embed_sequence(ids, rng)
         for layer in self.enc_layers:
             x = layer(x, mask, rng)
@@ -453,8 +477,9 @@ class TransformerModel:
             logits = reshape(logits, logits.shape[1:])
         return logits
 
-    def stepper(self, enc_out: np.ndarray, src_ids: np.ndarray) -> DecoderStepper:
-        return DecoderStepper(self, enc_out, src_ids)
+    def stepper(self, enc_out: np.ndarray, src_ids: np.ndarray,
+                max_length: int | None = None) -> DecoderStepper:
+        return DecoderStepper(self, enc_out, src_ids, max_length)
 
     def forward(self, input_ids, dec_input_ids, rng=None) -> Tensor:
         """Full pass: logits over the vocabulary for every decoder position."""
@@ -535,24 +560,26 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ValueError(f"{path}: container header is not an object with a "
                              f"'meta' object and a 'tensors' list")
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        arrays: dict[str, np.ndarray] = {}
+        shapes: dict[str, tuple[int, ...]] = {}
         for entry in header["tensors"]:
             name, shape = _tensor_entry(path, entry)
-            if name in arrays:
+            if name in shapes:
                 raise ValueError(f"{path}: tensor {name!r} is stored twice")
-            size = 8 * math.prod(shape)
-            if size > left:
+            left -= 8 * math.prod(shape)
+            if left < 0:
                 raise ValueError(f"{path}: truncated tensor {name!r}")
-            left -= size
-            # A buffer of its own per tensor, so the array is writable
-            # without a copy.
-            raw = bytearray(size)
-            if fh.readinto(raw) != len(raw):
-                raise ValueError(f"{path}: truncated tensor {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            shapes[name] = shape
         if left:
             raise ValueError(f"{path}: {left} bytes after the last tensor")
-    return header["meta"], arrays
+        # One buffer for every tensor, filled by one read; each array is a
+        # writable view of it.
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        flat = np.empty(sum(sizes), dtype="<f8")
+        if fh.readinto(flat) != flat.nbytes:
+            raise ValueError(f"{path}: truncated container")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return header["meta"], {name: part.reshape(shape)
+                            for (name, shape), part in zip(shapes.items(), parts)}
 
 
 def stored_array(arrays: dict[str, np.ndarray], name: str, shape, path) -> np.ndarray:

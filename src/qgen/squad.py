@@ -180,11 +180,15 @@ def _json_text(value, indent: str) -> str:
 def replacing(path, mode: str = "w", newline: str | None = None):
     """A file opened as path.tmp (UTF-8 in text mode, with open's newline)
     and moved onto path when the block ends without an exception: path holds
-    the old contents or the new, and path.tmp does not outlive the block."""
+    the old contents or the new, and path.tmp does not outlive the block.
+    An OSError opening path.tmp is raised naming path."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8",
-                  newline=newline) as fh:
+        try:
+            fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8", newline=newline)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

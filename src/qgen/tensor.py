@@ -16,6 +16,7 @@ gradients too; shapes are checked up front and mismatches fail loudly.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,8 +39,8 @@ def no_grad():
         _GRAD_STACK.pop()
 
 
-# Training steps and beam search's decoder steps compute at this dtype, on
-# compute_copies of the float64 master parameters.
+# Training steps compute at this dtype, on compute_copies of the float64
+# master parameters; beam search's decoder steps on a stepper built at it.
 COMPUTE_DTYPE = np.float32
 
 
@@ -388,7 +389,7 @@ def attention_forward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, mask=None
     entries forbid positions): it must broadcast to their shape, and the sums
     keep their dtype. The scores become the probabilities in place.
     """
-    scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps q's dtype
+    scale = 1.0 / math.sqrt(q.shape[-1])  # a Python float keeps q's dtype
     scores = q @ k_t
     scores *= scale
     if mask is not None:

@@ -86,6 +86,15 @@ class TestPreprocess:
         assert main(argv) == EXIT_IO
         assert "paths.squad_json" in capsys.readouterr().err
 
+    def test_cache_in_a_missing_directory_exits_3_naming_the_path(self, tmp_path, capsys):
+        cache = tmp_path / "missing" / "ex.jsonl"
+        code, _, out = run_preprocess(tmp_path, ["--paths.examples_cache", str(cache)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{cache}'" in err
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_schema_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"data": [{"title": "t"}]}', encoding="utf-8")

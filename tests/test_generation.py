@@ -21,7 +21,7 @@ from qgen.generation import (
 from qgen.model import ModelConfig, TransformerModel
 from qgen.preprocess import PreprocessError, postprocess_question, preprocess_pair
 from qgen.squad import DEFAULT_BUCKET_BOUNDS, clip_input
-from qgen.tensor import ShapeError, Tensor, compute_copies, log_softmax, no_grad
+from qgen.tensor import ShapeError, Tensor, log_softmax, no_grad
 from qgen.wordpiece import TokenSequence
 
 # The largest |log_prob - float64 value| a hypothesis beam_search does not
@@ -48,9 +48,6 @@ class TableModel:
     def encode(self, input_ids):
         return Tensor(np.zeros((1, 1, 1))), np.asarray(input_ids)
 
-    def decoder_parameters(self):
-        return []
-
     def logits(self, start, dec_ids):
         """The (k, t, vocab) logits of dec_ids (k, t) at positions start, start + 1, ..."""
         k, t = dec_ids.shape
@@ -62,7 +59,7 @@ class TableModel:
     def decode(self, enc_out, src_ids, dec_input_ids):
         return Tensor(self.logits(0, np.asarray(dec_input_ids)))
 
-    def stepper(self, enc_out, src_ids):
+    def stepper(self, enc_out, src_ids, max_length=None):
         return TableStepper(self)
 
 
@@ -149,38 +146,37 @@ def reference_beam(model, input_ids, cfg):
     pools = [[] for _ in widths]
     with no_grad():
         enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
-        with compute_copies(model.decoder_parameters(), generation.COMPUTE_DTYPE):
-            stepper = model.stepper(enc_out.data.astype(generation.COMPUTE_DTYPE),
-                                    src_ids)
-            live = [(search, (), 0.0) for search in range(len(widths))]
-            last = np.full(len(widths), model.config.bos_id, dtype=np.int64)
-            for position in range(1, cfg.max_length + 1):
-                logp = log_softmax(stepper.step(last), "decoder logits")
-                if position == cfg.max_length:
-                    picks = np.full((len(live), 1), eos)
-                else:
-                    picks = _top_k(logp, width)
-                candidates = [[] for _ in widths]
-                for row, (search, tokens, total) in enumerate(live):
-                    for t in picks[row, : widths[search]]:
-                        candidates[search].append(
-                            (tokens + (int(t),), total + float(logp[row, t]), row))
-                live, rows = [], []
-                for search, found in enumerate(candidates):
-                    kept = []
-                    for tokens, total, row in found:
-                        if tokens[-1] == eos:
-                            pools[search].append(BeamHypothesis(tokens, total))
-                        else:
-                            kept.append((tokens, total, row))
-                    kept.sort(key=lambda c: (-c[1], c[0]))
-                    for tokens, total, row in kept[: widths[search]]:
-                        live.append((search, tokens, total))
-                        rows.append(row)
-                if not live:
-                    break
-                stepper.select(rows)
-                last = np.array([tokens[-1] for _, tokens, _ in live], dtype=np.int64)
+        stepper = model.stepper(enc_out.data.astype(generation.COMPUTE_DTYPE), src_ids,
+                                cfg.max_length)
+        live = [(search, (), 0.0) for search in range(len(widths))]
+        last = np.full(len(widths), model.config.bos_id, dtype=np.int64)
+        for position in range(1, cfg.max_length + 1):
+            logp = log_softmax(stepper.step(last), "decoder logits")
+            if position == cfg.max_length:
+                picks = np.full((len(live), 1), eos)
+            else:
+                picks = _top_k(logp, width)
+            candidates = [[] for _ in widths]
+            for row, (search, tokens, total) in enumerate(live):
+                for t in picks[row, : widths[search]]:
+                    candidates[search].append(
+                        (tokens + (int(t),), total + float(logp[row, t]), row))
+            live, rows = [], []
+            for search, found in enumerate(candidates):
+                kept = []
+                for tokens, total, row in found:
+                    if tokens[-1] == eos:
+                        pools[search].append(BeamHypothesis(tokens, total))
+                    else:
+                        kept.append((tokens, total, row))
+                kept.sort(key=lambda c: (-c[1], c[0]))
+                for tokens, total, row in kept[: widths[search]]:
+                    live.append((search, tokens, total))
+                    rows.append(row)
+            if not live:
+                break
+            stepper.select(rows)
+            last = np.array([tokens[-1] for _, tokens, _ in live], dtype=np.int64)
         finished, greedy = pools[0], pools[-1][0]
         if all(h.tokens != greedy.tokens for h in finished):
             finished.append(greedy)
@@ -519,7 +515,7 @@ class SkewedTableModel(TableModel):
         super().__init__(logits_table)
         self.skew = np.asarray(skew, dtype=float)
 
-    def stepper(self, enc_out, src_ids):
+    def stepper(self, enc_out, src_ids, max_length=None):
         steps = super().stepper(enc_out, src_ids)
         if enc_out.dtype == np.float32:
             step = steps.step

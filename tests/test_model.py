@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qgen.generation import GenerationConfig, beam_search
 from qgen.model import (
+    DecoderStepper,
     ModelConfig,
     MultiHeadParams,
     ParameterMaker,
@@ -258,14 +259,15 @@ class TestForward:
         assert not np.array_equal(train_a, eval_a)
 
 
-def check_steps(model, src, steps, selections=()):
-    """Step model's decoder over src (1, m): the ids of steps[0] (rows,)
-    first, then before each later steps[i] the rows selections[i - 1].
-    Each step's logits must equal, within 1e-12, the last position's of a
+def check_steps(model, src, steps, selections=(), dtype=np.float64, atol=1e-12):
+    """Step model's decoder over src (1, m), built on the encoder output at
+    dtype: the ids of steps[0] (rows,) first, then before each later
+    steps[i] the rows selections[i - 1]. Each step's logits must be at
+    dtype and equal, within atol, the last position's of a float64
     teacher-forced decode of that row's whole prefix. Returns the stepper."""
     with no_grad():
         enc_out, src_ids = model.encode(src)
-        stepper = model.stepper(enc_out.data, src_ids)
+        stepper = model.stepper(enc_out.data.astype(dtype), src_ids)
         prefixes = np.empty((len(steps[0]), 0), dtype=np.int64)
         for i, ids in enumerate(steps):
             if i:
@@ -275,8 +277,20 @@ def check_steps(model, src, steps, selections=()):
             got = stepper.step(ids)
             want = model.decode(enc_out, src_ids, prefixes).data[:, -1]
             assert got.shape == (len(ids), model.config.vocab_size)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
     return stepper
+
+
+def held_arrays(value):
+    """Every array in value, or in the tuples, lists and attributes it holds."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from held_arrays(item)
+    elif isinstance(value, DecoderStepper):
+        yield from held_arrays(list(vars(value).values()))
 
 
 class TestCachedDecode:
@@ -305,6 +319,28 @@ class TestCachedDecode:
             selections = ([0], [0], *self.SELECTIONS)
             stepper = check_steps(model, src, steps, selections)
             assert stepper.length == len(steps)
+
+    def test_float32_stepper_at_the_cli_shape(self):
+        """The stepper as beam_search builds it, on a float32 encoder output.
+        It holds only float32 arrays, since under NEP 50 a float64 one would
+        promote a product to float64, and its logits stay within 1e-4 of the
+        float64 decode."""
+        cfg = ModelConfig(vocab_size=398)
+        model = TransformerModel(cfg, seed=12)
+        rng = np.random.default_rng(7)
+        src = rng.integers(4, cfg.vocab_size, size=(1, 60))
+        src[0, -3:] = cfg.pad_id
+        steps = [np.array([cfg.bos_id, cfg.bos_id])]
+        for step, rows in enumerate(self.SELECTIONS):
+            new = rng.integers(4, cfg.vocab_size, size=len(rows))
+            new[step % len(rows)] = cfg.pad_id
+            steps.append(new)
+        stepper = check_steps(model, src, steps, ([0, 1, 1], *self.SELECTIONS[1:]),
+                              dtype=np.float32, atol=1e-4)
+        arrays = list(held_arrays(stepper))
+        assert stepper.self_mask is not None and stepper.cross_mask is not None
+        assert len(arrays) > 4 * cfg.dec_layers
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
     def test_source_without_pad_and_rows_from_the_start(self):
         model = TransformerModel(small_config(), seed=14)

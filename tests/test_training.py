@@ -596,6 +596,39 @@ class TestCheckpoint:
         for name in ("config.json", "model.bin", "state.bin"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_loaded_arrays_are_writable_and_apart(self, tmp_path):
+        """Each container is read into one buffer. Every array loaded from it
+        is writable, and an in-place update of one, as adam_step makes,
+        leaves every other unchanged."""
+        model = tiny_model(seed=8, share_embeddings=False)
+        state = TrainState(model, seed=0)
+        rng = np.random.default_rng(9)
+        for moment in (*state.m.values(), *state.v.values()):
+            moment[...] = np.abs(rng.normal(size=moment.shape))
+        model.save(tmp_path / "model.bin")
+        state.save(tmp_path / "state.bin")
+        loaded = TransformerModel.load(tmp_path / "model.bin")
+        loaded_state = TrainState.load(tmp_path / "state.bin", loaded)
+        arrays = [p.data for p in loaded.parameters()]
+        arrays += [*loaded_state.m.values(), *loaded_state.v.values()]
+        assert all(a.flags.writeable for a in arrays)
+        # One Adam step on each pair, with the same gradients: the loaded
+        # arrays move exactly as the ones never saved.
+        for p, q in zip(model.parameters(), loaded.parameters()):
+            p.grad = rng.normal(size=p.shape)
+            q.grad = p.grad.copy()
+        adam_step(model, state, lr=1e-2)
+        adam_step(loaded, loaded_state, lr=1e-2)
+        for p, q in zip(model.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(q.data, p.data)
+            np.testing.assert_array_equal(loaded_state.m[q.name], state.m[p.name])
+            np.testing.assert_array_equal(loaded_state.v[q.name], state.v[p.name])
+        before = [a.copy() for a in arrays]
+        for i, a in enumerate(arrays):
+            a += 1.0
+            for j, (b, was) in enumerate(zip(arrays, before)):
+                np.testing.assert_array_equal(b, was + 1.0 if j <= i else was)
+
     def test_state_saved_with_a_best_loss_still_loads(self, tmp_path):
         model = tiny_model(seed=7)
         state = TrainState(model, seed=3)
