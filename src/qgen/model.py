@@ -264,15 +264,14 @@ class DecoderStepper:
     """
 
     def __init__(self, model: "TransformerModel", enc_out: np.ndarray, src_ids: np.ndarray,
-                 max_length: int | None = None):
+                 max_length: int):
         """enc_out (1, m, d_model) is the encoder output of src_ids (1, m);
-        max_length (the model's max_positions if None) bounds the steps."""
+        max_length bounds the steps."""
         if len(src_ids) != 1:
             raise ShapeError(f"the decoder steps over one source, got {len(src_ids)}")
         cfg, dtype, enc = model.config, enc_out.dtype, enc_out[0]
-        self.model, self.length, self.kv = model, 0, None
-        self.max_length = cfg.max_positions if max_length is None else max_length
-        self.self_mask: np.ndarray | None = None  # (rows, 1, 1, max_length)
+        self.model, self.length, self.max_length = model, 0, max_length
+        self.kv = self.self_mask = None  # (rows, *kv_shape), (rows, 1, 1, max_length)
         heads, d_head = cfg.num_heads, cfg.d_model // cfg.num_heads
         self.kv_shape = (len(model.dec_layers), 2, heads, self.max_length, d_head)
 
@@ -478,7 +477,7 @@ class TransformerModel:
         return logits
 
     def stepper(self, enc_out: np.ndarray, src_ids: np.ndarray,
-                max_length: int | None = None) -> DecoderStepper:
+                max_length: int) -> DecoderStepper:
         return DecoderStepper(self, enc_out, src_ids, max_length)
 
     def forward(self, input_ids, dec_input_ids, rng=None) -> Tensor:
@@ -571,8 +570,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             shapes[name] = shape
         if left:
             raise ValueError(f"{path}: {left} bytes after the last tensor")
-        # One buffer for every tensor, filled by one read; each array is a
-        # writable view of it.
+        # One buffer, filled by one read; each tensor is a writable view of it.
         sizes = [math.prod(shape) for shape in shapes.values()]
         flat = np.empty(sum(sizes), dtype="<f8")
         if fh.readinto(flat) != flat.nbytes:

@@ -323,15 +323,17 @@ def softmax_rows(a) -> Tensor:
 
 
 def _softmax(x: np.ndarray, what: str) -> np.ndarray:
-    """Softmax over the last axis of a finite array, in place; returns x."""
-    top = x.max(axis=-1, keepdims=True)
+    """Softmax over the last axis of a finite array, in place; returns x.
+    The ufuncs' own reductions skip the array methods' Python wrappers."""
+    top = np.maximum.reduce(x, axis=-1, keepdims=True)
     # NaN reaches both reductions; +inf shows in the row maxima, -inf in the
     # minimum.
-    if x.size and not (np.isfinite(top.max()) and np.isfinite(x.min())):
+    if x.size and not (math.isfinite(np.maximum.reduce(top, axis=None))
+                       and math.isfinite(np.minimum.reduce(x, axis=None))):
         raise ValueError(f"{what} contains NaN or infinity")
     x -= top
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
 
 

@@ -59,7 +59,7 @@ class TableModel:
     def decode(self, enc_out, src_ids, dec_input_ids):
         return Tensor(self.logits(0, np.asarray(dec_input_ids)))
 
-    def stepper(self, enc_out, src_ids, max_length=None):
+    def stepper(self, enc_out, src_ids, max_length):
         return TableStepper(self)
 
 
@@ -515,8 +515,8 @@ class SkewedTableModel(TableModel):
         super().__init__(logits_table)
         self.skew = np.asarray(skew, dtype=float)
 
-    def stepper(self, enc_out, src_ids, max_length=None):
-        steps = super().stepper(enc_out, src_ids)
+    def stepper(self, enc_out, src_ids, max_length):
+        steps = super().stepper(enc_out, src_ids, max_length)
         if enc_out.dtype == np.float32:
             step = steps.step
             steps.step = lambda last_ids: step(last_ids) + self.skew

@@ -267,7 +267,7 @@ def check_steps(model, src, steps, selections=(), dtype=np.float64, atol=1e-12):
     teacher-forced decode of that row's whole prefix. Returns the stepper."""
     with no_grad():
         enc_out, src_ids = model.encode(src)
-        stepper = model.stepper(enc_out.data.astype(dtype), src_ids)
+        stepper = model.stepper(enc_out.data.astype(dtype), src_ids, len(steps))
         prefixes = np.empty((len(steps[0]), 0), dtype=np.int64)
         for i, ids in enumerate(steps):
             if i:
@@ -372,7 +372,7 @@ class TestCachedDecode:
         model = TransformerModel(small_config(max_positions=3), seed=15)
         with no_grad():
             enc_out, src_ids = model.encode([4, 5, 6])
-            stepper = model.stepper(enc_out.data, src_ids)
+            stepper = model.stepper(enc_out.data, src_ids, 4)
             with pytest.raises(ShapeError, match=re.escape(
                     "decoder input id out of range [0, 16)")):
                 stepper.step(np.array([2, 16]))
@@ -380,6 +380,11 @@ class TestCachedDecode:
                 stepper.step(np.array([2, 4]))
             with pytest.raises(ShapeError,
                                match="decoder input length 4 exceeds max positions 3"):
+                stepper.step(np.array([2, 4]))
+            stepper = model.stepper(enc_out.data, src_ids, 2)
+            for _ in range(2):
+                stepper.step(np.array([2, 4]))
+            with pytest.raises(ShapeError, match="the stepper holds 2 positions"):
                 stepper.step(np.array([2, 4]))
 
     def test_batch_rows_match_their_single_record_decode(self):
@@ -407,7 +412,7 @@ class TestCachedDecode:
         with no_grad():
             enc_out, src_ids = model.encode(src)
             with pytest.raises(ShapeError, match="one source"):
-                model.stepper(enc_out.data, src_ids)
+                model.stepper(enc_out.data, src_ids, 4)
 
 
 class TestModelGradients:
