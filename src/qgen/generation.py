@@ -81,13 +81,13 @@ def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]
     finishes, so its completion is in the pool (the beam's entry where both
     finish the same tokens) and widening the beam never ranks below greedy.
 
-    The source is encoded once, at float64. Each position is one step of
-    model.stepper on all live rows' last tokens, at COMPUTE_DTYPE: the
-    stepper is built for this call on a copy of the encoder output. Hypotheses are ranked by log-probability / length^alpha, ties
-    broken by token ids. Those whose search score is within
-    RESCORE_MARGIN * (1 + |best|) of the best come first, their log_prob
-    rescored at float64 by one teacher-forced decoder call on the float64
-    encoder output; the rest follow, carrying their search log_prob.
+    The source is encoded once, at float64. Each position steps a
+    model.stepper, built for this call on a COMPUTE_DTYPE copy of the encoder
+    output, on all live rows' last tokens. Hypotheses are ranked by
+    log-probability / length^alpha, ties broken by token ids. Those whose
+    search score is within RESCORE_MARGIN * (1 + |best|) of the best come
+    first, their log_prob rescored at float64 by one teacher-forced decoder
+    call on the float64 encoder output; the rest keep their search log_prob.
     """
     alpha, eos, width = cfg.length_alpha, model.config.eos_id, cfg.beam_width
     widths = (width,) if width == 1 else (width, 1)

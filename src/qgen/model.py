@@ -275,7 +275,7 @@ class DecoderStepper:
         heads, d_head = cfg.num_heads, cfg.d_model // cfg.num_heads
         self.kv_shape = (len(model.dec_layers), 2, heads, self.max_length, d_head)
 
-        def folded(norm, weights, bias=0.0):  # norm, then weights side by side
+        def folded(norm, weights, bias=0.0):  # (w, b): norm(x) @ [*weights] + bias = xhat @ w + b
             folded = np.concatenate(weights, axis=1, dtype=dtype)
             folded *= norm.gain.data.astype(dtype)[:, None]
             return folded, (np.concatenate([norm.bias.data @ w for w in weights]) + bias
