@@ -33,11 +33,13 @@ from .tensor import (  # noqa: F401
     concat_last,
     dropout,
     embedding,
+    gather_rows,
     layer_norm,
     matmul,
     mul,
     relu,
     reshape,
+    scatter_rows,
     softmax_rows,
     swap_axes,
     transpose,
@@ -101,6 +103,11 @@ def positional_encoding(max_len: int, d_model: int) -> Tensor:
     return Tensor(table)
 
 
+def real_rows(lengths, width: int) -> np.ndarray:
+    """(B, width) mask of each row's first lengths[i] positions, its real ones."""
+    return np.arange(width) < np.asarray(lengths)[:, None]
+
+
 class MultiHeadParams:
     """Query, key, value and output projections, each one (d_model, d_model)
     Parameter; head i reads columns i*d_head ... (i+1)*d_head of wq, wk, wv."""
@@ -115,29 +122,39 @@ class MultiHeadParams:
         self.wo = make(f"{prefix}.wo", (d_model, d_model), _xavier)
 
 
-def _heads(x, weight, num_heads: int) -> Tensor:
+def _heads(x, weight, num_heads: int, rows=None) -> Tensor:
     """x times a projection, with the heads moved to their own axis:
-    (..., m, d_model) -> (..., h, m, d_head)."""
-    packed = matmul(x, weight)  # (..., m, d_model)
-    split = reshape(packed, (*x.shape[:-1], num_heads, packed.shape[-1] // num_heads))
+    (..., m, d_model) -> (..., h, m, d_head); with rows, x is (n_real, d_model)
+    and the positions rows leaves out are zeros."""
+    projected = matmul(x, weight)
+    if rows is not None:
+        projected = scatter_rows(projected, rows)  # (B, m, d_model)
+    split = reshape(projected, (*projected.shape[:-1], num_heads, -1))
     return swap_axes(split, -3, -2)
 
 
-def multi_head(x_q, params: MultiHeadParams, mask=None, memory=None) -> Tensor:
+def multi_head(x_q, params: MultiHeadParams, mask=None, memory=None, rows=None,
+               memory_rows=None) -> Tensor:
     """Multi-head attention: project, split into heads, attend, merge, project out.
 
     The keys and values are projected from memory, which defaults to x_q
     (self-attention); cross-attention passes the encoder output. Heads are
     evaluated together by stacking them on a leading axis, which is
-    numerically identical to looping per head.
+    numerically identical to looping per head. Given rows (a (B, m) mask of
+    real positions, as real_rows makes it), x_q and the output are those
+    positions' rows only, (n_real, d_model); memory_rows says so of memory.
     """
     if x_q.shape[-1] != params.d_model:
         raise ShapeError(f"multi_head: input width {x_q.shape} != {params.d_model}")
-    n, memory = params.num_heads, x_q if memory is None else memory
-    q = _heads(x_q, params.wq, n)
-    k, v = _heads(memory, params.wk, n), _heads(memory, params.wv, n)
-    heads = attention(q, k, v, mask)  # (..., h, m, d_head)
-    merged = reshape(swap_axes(heads, -3, -2), (*x_q.shape[:-1], params.d_model))
+    n = params.num_heads
+    if memory is None:
+        memory, memory_rows = x_q, rows
+    q = _heads(x_q, params.wq, n, rows)
+    k, v = _heads(memory, params.wk, n, memory_rows), _heads(memory, params.wv, n, memory_rows)
+    heads = swap_axes(attention(q, k, v, mask), -3, -2)  # (..., m, h, d_head)
+    if rows is not None:
+        heads = gather_rows(heads, rows)
+    merged = reshape(heads, (*heads.shape[:-2], params.d_model))
     return matmul(merged, params.wo)
 
 
@@ -213,8 +230,9 @@ class _EncoderLayer:
         self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, make, f"{prefix}.ffn")
         self.rate = cfg.dropout
 
-    def __call__(self, x, mask, rng) -> Tensor:
-        x = add(x, dropout(multi_head(self.ln1(x), self.attn, mask), self.rate, rng))
+    def __call__(self, x, mask, rng, rows=None) -> Tensor:
+        x = add(x, dropout(multi_head(self.ln1(x), self.attn, mask, rows=rows),
+                           self.rate, rng))
         return add(x, dropout(self.ffn(self.ln2(x)), self.rate, rng))
 
 
@@ -230,10 +248,12 @@ class _DecoderLayer:
         self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, make, f"{prefix}.ffn")
         self.rate = cfg.dropout
 
-    def __call__(self, x, enc_out, self_mask, cross_mask, rng) -> Tensor:
-        x = add(x, dropout(multi_head(self.ln1(x), self.self_attn, self_mask),
+    def __call__(self, x, enc_out, self_mask, cross_mask, rng, rows=None,
+                 src_rows=None) -> Tensor:
+        x = add(x, dropout(multi_head(self.ln1(x), self.self_attn, self_mask, rows=rows),
                            self.rate, rng))
-        x = add(x, dropout(multi_head(self.ln2(x), self.cross_attn, cross_mask, enc_out),
+        x = add(x, dropout(multi_head(self.ln2(x), self.cross_attn, cross_mask, enc_out,
+                                      rows, src_rows),
                            self.rate, rng))
         return add(x, dropout(self.ffn(self.ln3(x)), self.rate, rng))
 
@@ -346,10 +366,14 @@ class DecoderStepper:
         return logits
 
     def select(self, rows) -> None:
-        """Keep these rows, in this order; a row may repeat or be dropped."""
+        """Keep these rows, in this order; a row may repeat or be dropped.
+        Only the positions written so far move, into a fresh buffer."""
         if list(rows) == list(range(len(self.kv))):  # kept as they are
             return
-        self.kv = self.kv[rows]
+        kv, t = self.kv, self.length
+        self.kv = np.empty((len(rows), *self.kv_shape), kv.dtype)
+        for new, old in zip(self.kv, rows):  # a row at a time beats one strided gather
+            new[..., :t, :] = kv[old, ..., :t, :]
         if self.self_mask is not None:
             self.self_mask = self.self_mask[rows]
 
@@ -433,46 +457,67 @@ class TransformerModel:
                 f"{self.config.max_positions}"
             )
 
-    def _embed_sequence(self, ids: np.ndarray, rng) -> Tensor:
+    @staticmethod
+    def _real_rows(ids: np.ndarray, lengths) -> np.ndarray | None:
+        """real_rows of ids (B, t) whose rows are lengths long; None without
+        lengths. A real position must see no later one: those are [PAD] keys
+        or, in the decoder, causally hidden."""
+        if lengths is None:
+            return None
+        rows = real_rows(lengths, ids.shape[1])
+        if rows.shape != ids.shape or (np.asarray(lengths) > ids.shape[1]).any():
+            raise ShapeError(f"lengths {lengths} do not fit ids of shape {ids.shape}")
+        return rows
+
+    def _embed_sequence(self, ids: np.ndarray, rng, rows=None) -> Tensor:
         # A float64 scalar or table would promote a float32 sum (NEP 50).
         dtype = self.dtype
-        x = mul(embedding(self.embed, ids), dtype.type(np.sqrt(self.config.d_model)))
         pos = self.positions.data[: ids.shape[-1]]
+        if rows is not None:
+            ids, pos = ids[rows], pos[np.nonzero(rows)[1]]
+        x = mul(embedding(self.embed, ids), dtype.type(np.sqrt(self.config.d_model)))
         pos = Tensor(pos.astype(dtype, copy=False))
         return dropout(add(x, pos), self.config.dropout, rng)
 
     # -- forward passes --------------------------------------------------
 
-    def encode(self, input_ids, rng=None) -> tuple[Tensor, np.ndarray]:
-        """Returns (encoder output, batched input ids)."""
+    def encode(self, input_ids, rng=None, lengths=None) -> tuple[Tensor, np.ndarray]:
+        """Returns (encoder output, batched input ids): (B, m, d_model), or,
+        given each row's real length, the real positions' rows only,
+        (n_real, d_model) in row order; only attention sees the padding."""
         ids, _ = self._as_batch(input_ids)
         self._check_ids(ids, "input")
+        rows = self._real_rows(ids, lengths)
         # Without a [PAD] the mask would add zeros.
         mask = self._pad_mask(ids) if (ids == self.config.pad_id).any() else None
-        x = self._embed_sequence(ids, rng)
+        x = self._embed_sequence(ids, rng, rows)
         for layer in self.enc_layers:
-            x = layer(x, mask, rng)
+            x = layer(x, mask, rng, rows)
         return self.enc_norm(x), ids
 
-    def decode(self, enc_out: Tensor, src_ids: np.ndarray, dec_input_ids, rng=None
-               ) -> Tensor:
+    def decode(self, enc_out: Tensor, src_ids: np.ndarray, dec_input_ids, rng=None,
+               lengths=None, src_lengths=None) -> Tensor:
         """Teacher-forced decoder pass from position 0: next-token logits,
         (k, t, V), for every position of dec_input_ids (k, t).
 
         Decoder self-attention is causally masked; [PAD] positions of both
-        streams are hidden as attention keys. Search steps the decoder one
-        position at a time through stepper instead.
+        streams are hidden as attention keys. Given each row's real length,
+        the logits are the real positions' rows only, (n_real, V) in row
+        order; given src_lengths, enc_out is encode's output for them.
+        Search steps the decoder one position at a time through stepper
+        instead.
         """
         dec_ids, squeeze = self._as_batch(dec_input_ids)
         self._check_ids(dec_ids, "decoder input")
+        rows, src_rows = self._real_rows(dec_ids, lengths), self._real_rows(src_ids, src_lengths)
         self_mask = self._causal_mask(dec_ids.shape[-1]) + self._pad_mask(dec_ids)
         cross_mask = self._pad_mask(src_ids)
-        x = self._embed_sequence(dec_ids, rng)
+        x = self._embed_sequence(dec_ids, rng, rows)
         for layer in self.dec_layers:
-            x = layer(x, enc_out, self_mask, cross_mask, rng)
+            x = layer(x, enc_out, self_mask, cross_mask, rng, rows, src_rows)
         x = self.dec_norm(x)
         logits = matmul(x, transpose(self.embed) if self.out_proj is None else self.out_proj)
-        if squeeze:
+        if squeeze and rows is None:
             logits = reshape(logits, logits.shape[1:])
         return logits
 

@@ -72,10 +72,24 @@ class Bucket:
     def target_matrix(self, indices, pad_id: int) -> np.ndarray:
         return self._padded([self.examples[i].target_ids for i in indices], pad_id)
 
-    def batch(self, indices, pad_id: int) -> tuple[np.ndarray, np.ndarray, Bucket]:
+    def batch(self, indices, pad_id: int) -> Batch:
         """(inputs, targets, self) of the examples at indices, each matrix
-        padded with pad_id to its longest row."""
-        return self.input_matrix(indices, pad_id), self.target_matrix(indices, pad_id), self
+        padded with pad_id to its longest row, with the examples' lengths."""
+        lengths = (np.array([len(self.examples[i].input_ids) for i in indices]),
+                   np.array([len(self.examples[i].target_ids) for i in indices]))
+        return Batch(self.input_matrix(indices, pad_id), self.target_matrix(indices, pad_id),
+                     self, lengths)
+
+
+class Batch(tuple):
+    """(inputs, targets, bucket) as Bucket.batch makes them. lengths holds
+    each row's real input and target lengths, two integer arrays: past them
+    a row holds only padding, while a [PAD] id within them is a real token."""
+
+    def __new__(cls, inputs, targets, bucket, lengths):
+        batch = super().__new__(cls, (inputs, targets, bucket))
+        batch.lengths = lengths
+        return batch
 
 
 # Field kinds of outside records: the phrase an error message uses -> the

@@ -534,14 +534,49 @@ def concat_last(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout. rng=None or rate=0 is the identity (eval mode)."""
+def gather_rows(a, rows: np.ndarray) -> Tensor:
+    """The positions of a's leading axes where the boolean mask rows is
+    true, in row-major order: (n, *rest) from a (*rows.shape, *rest)."""
+    a = _as_tensor(a)
+    if a.shape[: rows.ndim] != rows.shape:
+        raise ShapeError(f"gather_rows: mask {rows.shape} does not lead {a.shape}")
+    out = _result(a.data[rows], (a,))
+    if out.node is not None:
+        out.node.backward = lambda g: (_scattered(g, rows),)
+    return out
+
+
+def scatter_rows(a, rows: np.ndarray) -> Tensor:
+    """gather_rows undone: a (n, *rest) placed at the true positions of the
+    boolean mask rows, in row-major order, into zeros (*rows.shape, *rest)."""
+    a = _as_tensor(a)
+    if a.shape[0] != np.count_nonzero(rows):
+        raise ShapeError(f"scatter_rows: {a.shape[0]} rows for a mask of "
+                         f"{np.count_nonzero(rows)}")
+    out = _result(_scattered(a.data, rows), (a,))
+    if out.node is not None:
+        out.node.backward = lambda g: (g[rows],)
+    return out
+
+
+def _scattered(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    out = np.zeros((*rows.shape, *values.shape[1:]), values.dtype)
+    out[rows] = values
+    return out
+
+
+def dropout(a, rate: float, rng) -> Tensor:
+    """Inverted dropout. rng=None or rate=0 is the identity (eval mode).
+    Otherwise a position is kept where rng.random(shape) >= rate: rng is a
+    numpy Generator, or a source that makes that boolean mask itself
+    through kept(shape, rate)."""
     a = _as_tensor(a)
     if rng is None or rate == 0.0:
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    kept, scale = rng.random(a.shape) >= rate, a.data.dtype.type(1.0 - rate)
+    kept = rng.kept(a.shape, rate) if hasattr(rng, "kept") else rng.random(a.shape) >= rate
+    scale = a.data.dtype.type(1.0 - rate)
     out = _result(a.data * (kept / scale), (a,))
     if out.node is not None:  # keeps the boolean mask, not the scaled one
         out.node.backward = lambda g: (g * (kept / scale),)

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import ModelConfig, TransformerModel, read_container, stored_array, write_container
+from .model import (ModelConfig, TransformerModel, read_container, real_rows, stored_array,
+                    write_container)
 from .squad import Bucket, read_json, replacing, write_json
 from .tensor import (COMPUTE_DTYPE, ShapeError, backward, compute_copies,
                      cross_entropy_with_logits, no_grad)
@@ -167,13 +168,15 @@ def train_step(model: TransformerModel, batch, state: TrainState,
     raises NumericalError before the masters, the moments or state.step
     change.
 
-    batch is (input_ids, target_ids, bucket) as Bucket.batch makes it, each
+    batch is the Batch (input_ids, target_ids, bucket) Bucket.batch makes, each
     matrix padded to its longest row; targets include the leading [BOS] and
     trailing [EOS], so the decoder sees targets[:, :-1] and is scored
-    against targets[:, 1:]. Dropout draws its numbers at the bucket's widths
-    (_BucketDraws): every position gets the mask a batch padded to the
-    bucket's bounds would have drawn, and state.rng, which also samples the
-    batches, advances the same whatever the rows' lengths.
+    against targets[:, 1:]. All but attention runs on the rows' real
+    positions only, as batch.lengths gives them. Dropout draws its numbers
+    at the bucket's widths (_BucketDraws): every real position gets the mask
+    a batch padded to the bucket's bounds would have drawn, and state.rng,
+    which also samples the batches, advances the same whatever the rows'
+    lengths.
     """
     inputs, targets, bucket = batch
     if inputs.shape[1] > bucket.max_input or targets.shape[1] > bucket.max_target:
@@ -181,16 +184,19 @@ def train_step(model: TransformerModel, batch, state: TrainState,
                          f"is wider than bucket {bucket.label}")
     lr = learning_rate(state.step + 1, config)
     pad_id = model.config.pad_id
-    enc_rng = _BucketDraws(state.rng, bucket.max_input)
-    dec_rng = _BucketDraws(state.rng, bucket.max_target - 1)
+    in_lengths, target_lengths = batch.lengths
+    dec_lengths = target_lengths - 1
+    enc_rng = _BucketDraws(state.rng, bucket.max_input, in_lengths)
+    dec_rng = _BucketDraws(state.rng, bucket.max_target - 1, dec_lengths)
+    gold = targets[:, 1:][real_rows(dec_lengths, targets.shape[1] - 1)]
     params = model.parameters()
     with compute_copies(params, compute_dtype):
         try:
-            enc_out, src_ids = model.encode(inputs, enc_rng)
-            logits = model.decode(enc_out, src_ids, targets[:, :-1], dec_rng)
-            step_loss = cross_entropy_with_logits(
-                logits, targets[:, 1:], pad_id, config.label_smoothing
-            )
+            enc_out, src_ids = model.encode(inputs, enc_rng, in_lengths)
+            logits = model.decode(enc_out, src_ids, targets[:, :-1], dec_rng, dec_lengths,
+                                  in_lengths)
+            step_loss = cross_entropy_with_logits(logits, gold, pad_id,
+                                                  config.label_smoothing)
             value = step_loss.item()
         except ShapeError:
             raise
@@ -211,18 +217,20 @@ def train_step(model: TransformerModel, batch, state: TrainState,
 
 
 class _BucketDraws:
-    """state.rng as dropout sees it on a batch narrower than its bucket.
+    """state.rng as dropout sees it on the real positions of a batch whose
+    rows hold lengths[i] of them, padded to less than its bucket's width.
 
-    random(shape) draws (rows, width, ...) numbers, width being the bucket's
-    sequence length, and returns the first shape[1] positions of each row.
+    kept(shape, rate) draws (rows, width, shape[-1]) numbers, as dropout
+    draws on the batch padded to the bucket's width, and returns which of
+    the real positions' numbers reach rate: (n_real, shape[-1]), in row order.
     """
 
-    def __init__(self, rng: np.random.Generator, width: int):
+    def __init__(self, rng: np.random.Generator, width: int, lengths: np.ndarray):
         self.rng = rng
-        self.width = width
+        self.rows = real_rows(lengths, width)
 
-    def random(self, shape) -> np.ndarray:
-        return self.rng.random((shape[0], self.width, *shape[2:]))[:, : shape[1]]
+    def kept(self, shape, rate: float) -> np.ndarray:
+        return (self.rng.random((*self.rows.shape, shape[-1])) >= rate)[self.rows]
 
 
 def save_checkpoint(directory, model: TransformerModel, state: TrainState,
@@ -283,8 +291,8 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     bucket size. Metrics go to out_dir/metrics.jsonl, one record per step:
     step, bucket (its label), loss, lr, grad_norm (before clipping),
     clipped (whether grad_norm exceeded clip_norm), real_tokens (the non-pad
-    input and target tokens), pad_fraction (the [PAD] share of the input and
-    target positions the step computed) and tokens_per_sec,
+    input and target tokens), pad_fraction (the [PAD] share of the batch's
+    input and target matrices) and tokens_per_sec,
     the one field that is not the same on every run; checkpoints
     land in out_dir/checkpoint every checkpoint_interval steps and at the
     end, once. A resumed run (state.step > 0) first drops the log's records of

@@ -19,6 +19,7 @@ from qgen.model import (
     multi_head,
     positional_encoding,
     read_container,
+    real_rows,
     write_container,
 )
 from qgen.tensor import (
@@ -457,6 +458,39 @@ class TestFusedAttentionInModel:
         assert abs(loss_fused - loss_composed) < 1e-12
         for got, want in zip(grads_fused, grads_composed):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestRealRows:
+    """Given each row's real length, encode and decode compute only those
+    positions' rows, and at float64 each equals the padded pass's row."""
+
+    def test_lengths_not_pad_ids_pick_the_rows(self):
+        cfg = small_config()
+        model = TransformerModel(cfg, seed=31)
+        rng = np.random.default_rng(32)
+        src_lengths, dec_lengths = rng.integers(1, 8, 5), rng.integers(1, 7, 5)
+        src_lengths[0], dec_lengths[1] = 7, 6  # a row without padding
+        src_rows, dec_rows = real_rows(src_lengths, 7), real_rows(dec_lengths, 6)
+        src = np.where(src_rows, rng.integers(1, 16, (5, 7)), cfg.pad_id)
+        dec = np.where(dec_rows, rng.integers(1, 16, (5, 6)), cfg.pad_id)
+        dec[:, 0] = cfg.bos_id
+        # [PAD] ids inside rows too, as a random model decodes them.
+        src[0, 3] = dec[1, 2] = dec[1, 4] = cfg.pad_id
+        enc_out, ids = model.encode(src)
+        padded = model.decode(enc_out, ids, dec).data
+        packed_enc, _ = model.encode(src, lengths=src_lengths)
+        np.testing.assert_allclose(packed_enc.data, enc_out.data[src_rows], rtol=0, atol=1e-12)
+        for memory, memory_lengths in ((enc_out, None), (packed_enc, src_lengths)):
+            packed = model.decode(memory, ids, dec, lengths=dec_lengths,
+                                  src_lengths=memory_lengths).data
+            np.testing.assert_allclose(packed, padded[dec_rows], rtol=0, atol=1e-12)
+
+    def test_lengths_must_fit_the_ids(self):
+        model = TransformerModel(small_config(), seed=33)
+        with pytest.raises(ShapeError, match="do not fit"):
+            model.encode(np.ones((2, 3), np.int64), lengths=[3, 4])
+        with pytest.raises(ShapeError, match="do not fit"):
+            model.encode(np.ones((2, 3), np.int64), lengths=[3])
 
 
 class TestGradientBuffers:

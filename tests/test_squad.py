@@ -248,6 +248,14 @@ class TestBucketByLength:
         np.testing.assert_array_equal(targets, [[2, 5, 6, 3], [2, 5, 3, 1]])
         assert got is bucket and got.label == "8x6"
 
+    def test_batch_carries_the_examples_lengths(self):
+        """A [PAD] id inside an example is one of its real positions."""
+        bucket = Bucket(8, 6, [InvertedExample("q", [7, 1, 9], [2, 1, 3]),
+                               InvertedExample("r", [4, 6], [2, 5, 6, 3])])
+        input_lengths, target_lengths = bucket.batch([1, 0], pad_id=1).lengths
+        np.testing.assert_array_equal(input_lengths, [2, 3])
+        np.testing.assert_array_equal(target_lengths, [4, 3])
+
 
 class TestExampleCache:
     def test_round_trip_is_byte_identical(self, examples, tmp_path):

@@ -18,12 +18,14 @@ from qgen.tensor import (
     cross_entropy_with_logits,
     dropout,
     embedding,
+    gather_rows,
     layer_norm,
     matmul,
     mul,
     no_grad,
     relu,
     reshape,
+    scatter_rows,
     softmax_rows,
     swap_axes,
     transpose,
@@ -232,6 +234,20 @@ def _layer_norm_case(p):
     return total(mul(layer_norm(p, gain, bias), weights))
 
 
+# Rows of unequal lengths, one of them empty: 5 true positions of (3, 4).
+ROWS = np.array([[True, True, False, False], [False] * 4, [True, True, True, False]])
+
+
+def _gather_rows_case(p):
+    weights = Tensor(np.arange(1.0, 11.0).reshape(5, 2))
+    return total(mul(gather_rows(p, ROWS), weights))
+
+
+def _scatter_rows_case(p):
+    weights = Tensor(np.arange(1.0, 25.0).reshape(3, 4, 2))
+    return total(mul(scatter_rows(p, ROWS), weights))
+
+
 PRIMITIVE_CASES = [
     ("add_broadcast", (3, 4), lambda p: total(add(p, Tensor(np.arange(4.0))))),
     ("mul_broadcast", (3, 4), lambda p: total(mul(p, Tensor(np.arange(1.0, 5.0))))),
@@ -247,6 +263,8 @@ PRIMITIVE_CASES = [
     ("cross_entropy_pad", (3, 7), _cross_entropy_pad_case),
     ("cross_entropy_smoothed_pad", (2, 3, 7), _cross_entropy_smoothed_pad_case),
     ("concat_last", (3, 4), lambda p: total(concat_last([p, Tensor(np.ones((3, 2)))]))),
+    ("gather_rows", (3, 4, 2), _gather_rows_case),
+    ("scatter_rows", (5, 2), _scatter_rows_case),
 ]
 
 
@@ -278,6 +296,21 @@ class TestStructuralOps:
         assert np.prod(t.shape) == t.data.size
         assert t.data.flags["C_CONTIGUOUS"]
         assert t.data.dtype == np.float64
+
+
+class TestRows:
+    def test_scatter_undoes_gather_and_fills_zeros(self):
+        x = np.arange(24.0).reshape(3, 4, 2)
+        packed = gather_rows(Tensor(x), ROWS)
+        np.testing.assert_array_equal(packed.data, x[ROWS])
+        np.testing.assert_array_equal(scatter_rows(packed, ROWS).data,
+                                      np.where(ROWS[..., None], x, 0.0))
+
+    def test_row_count_must_match_the_mask(self):
+        with pytest.raises(ShapeError, match="4 rows for a mask of 5"):
+            scatter_rows(Tensor(np.ones((4, 2))), ROWS)
+        with pytest.raises(ShapeError, match="does not lead"):
+            gather_rows(Tensor(np.ones((4, 3, 2))), ROWS)
 
 
 class TestEmbedding:

@@ -309,6 +309,32 @@ class TestTrainStep:
             assert (trimmed_state.rng.bit_generator.state
                     == padded_state.rng.bit_generator.state)
 
+    def test_pad_ids_inside_rows_are_real_positions(self):
+        """Row lengths, not [PAD] ids, pick the positions a step computes. On
+        a hand-written cache whose rows hold the [PAD] id mid-row, a float64
+        step's loss and every gradient equal the bucket-padded pass's within
+        1e-12."""
+        cfg = TrainConfig(total_steps=10, warmup_steps=2, clip_norm=1e9)
+        bucket = ragged_bucket(seed=7)
+        for ex in bucket.examples:  # target [PAD] is scored against the next id
+            ex.input_ids[len(ex.input_ids) // 2] = ex.target_ids[1] = 0
+        batch = batch_from(bucket)
+        runs = []
+        for packed in (True, False):
+            model = tiny_model(seed=3, dropout=0.1)
+            state = TrainState(model, 5)
+            if packed:
+                loss, _ = train_step(model, batch, state, cfg, compute_dtype=np.float64)
+            else:
+                loss = reference_step(model, batch, state, cfg)
+            runs.append((loss, [p.grad for p in model.parameters()],
+                         state.rng.bit_generator.state))
+        (loss, grads, rng), (ref_loss, ref_grads, ref_rng) = runs
+        assert abs(loss - ref_loss) < 1e-12
+        for got, want in zip(grads, ref_grads, strict=True):
+            assert np.abs(got - want).max() < 1e-12
+        assert rng == ref_rng
+
     def test_batch_wider_than_its_bucket_is_a_shape_error(self):
         model = tiny_model(seed=2, dropout=0.1)
         inputs, targets, _ = batch_from(tiny_bucket())
