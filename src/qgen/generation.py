@@ -94,7 +94,8 @@ def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]
     # tokens -> ((search, position, row), hypothesis)
     finished: dict[tuple[int, ...], tuple] = {}
     with no_grad():
-        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
+        src_ids = np.asarray(input_ids, dtype=np.int64)[None]
+        enc_out = model.encode(src_ids, [src_ids.shape[1]])
         stepper = model.stepper(enc_out.data.astype(COMPUTE_DTYPE), src_ids, cfg.max_length)
         # (search, tokens, log-probability); the stepper's row is the list index
         live = [(search, (), 0.0) for search in range(len(widths))]
@@ -139,17 +140,20 @@ def beam_search(model, input_ids, cfg: GenerationConfig) -> list[BeamHypothesis]
 def _teacher_forced(model, enc_out, src_ids, hyps: list[BeamHypothesis]
                     ) -> list[BeamHypothesis]:
     """hyps with each log_prob recomputed by one decoder call over all of
-    them, teacher-forced from [BOS] and padded with [PAD] to the longest."""
-    dec_in = np.full((len(hyps), max(len(h.tokens) for h in hyps)),
-                     model.config.pad_id, dtype=np.int64)
+    them, teacher-forced from [BOS], each row as long as its hypothesis;
+    enc_out is the encoder output of src_ids (1, m)."""
+    lengths = [len(h.tokens) for h in hyps]
+    dec_in = np.full((len(hyps), max(lengths)), model.config.pad_id, dtype=np.int64)
     dec_in[:, 0] = model.config.bos_id
     for row, h in enumerate(hyps):
         dec_in[row, 1: len(h.tokens)] = h.tokens[:-1]
-    logits = model.decode(enc_out, src_ids, dec_in)
+    logits = model.decode(enc_out, src_ids, dec_in, [src_ids.shape[1]], lengths)
     logp = log_softmax(logits.data, "decoder logits")
+    starts = np.cumsum(lengths) - lengths
     # Summed left to right, as the search sums.
-    return [BeamHypothesis(h.tokens, sum(logp[row, range(len(h.tokens)), h.tokens].tolist()))
-            for row, h in enumerate(hyps)]
+    return [BeamHypothesis(h.tokens, sum(logp[range(start, start + len(h.tokens)),
+                                               h.tokens].tolist()))
+            for start, h in zip(starts.tolist(), hyps)]
 
 
 def substitute_entities(question: str, entity_map: dict[str, list[str]]) -> str:

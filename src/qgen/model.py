@@ -1,10 +1,13 @@
 """Encoder-decoder transformer built on the autodiff tensor module.
 
-Attention is scaled dot-product over the last two axes, so one code path
-serves single sequences, batches, and per-head batches; it is a single
-autodiff node (tensor.attention) that keeps only its probabilities. Blocks use
-pre-layer-norm residuals. Checkpoints are a small versioned binary container
-holding the config and every named parameter as little-endian float64.
+Every pass takes (B, t) ids and each row's real length, its first positions,
+and runs on those positions only, packed in row order into (n_real, d_model)
+rows; forward is the pass whose every position is real. Only attention sees
+the (B, t) layout: scaled dot-product over the last two axes, with the heads
+stacked on a leading axis, as a single autodiff node (tensor.attention) that
+keeps only its probabilities. Blocks use pre-layer-norm residuals.
+Checkpoints are a small versioned binary container holding the config and
+every named parameter as little-endian float64.
 """
 
 from __future__ import annotations
@@ -122,38 +125,34 @@ class MultiHeadParams:
         self.wo = make(f"{prefix}.wo", (d_model, d_model), _xavier)
 
 
-def _heads(x, weight, num_heads: int, rows=None) -> Tensor:
-    """x times a projection, with the heads moved to their own axis:
-    (..., m, d_model) -> (..., h, m, d_head); with rows, x is (n_real, d_model)
-    and the positions rows leaves out are zeros."""
-    projected = matmul(x, weight)
-    if rows is not None:
-        projected = scatter_rows(projected, rows)  # (B, m, d_model)
+def _heads(x, weight, num_heads: int, rows: np.ndarray) -> Tensor:
+    """x (n_real, d_model) times a projection, placed at the true positions
+    of rows (B, m), with the heads moved to their own axis: (B, h, m, d_head);
+    the positions rows leaves out are zeros."""
+    projected = scatter_rows(matmul(x, weight), rows)  # (B, m, d_model)
     split = reshape(projected, (*projected.shape[:-1], num_heads, -1))
     return swap_axes(split, -3, -2)
 
 
-def multi_head(x_q, params: MultiHeadParams, mask=None, memory=None, rows=None,
-               memory_rows=None) -> Tensor:
+def multi_head(x_q, params: MultiHeadParams, mask, rows: np.ndarray, memory,
+               memory_rows: np.ndarray) -> Tensor:
     """Multi-head attention: project, split into heads, attend, merge, project out.
 
-    The keys and values are projected from memory, which defaults to x_q
-    (self-attention); cross-attention passes the encoder output. Heads are
+    x_q holds the rows of the real positions of rows (a (B, m) mask, as
+    real_rows makes it), (n_real, d_model), and so does the output. The
+    keys and values are projected from memory, the real positions of
+    memory_rows: x_q and rows again for self-attention, the encoder output
+    for cross-attention. Only attention sees the (B, m) layout, so a real
+    query must see no position outside memory_rows: mask hides it. Heads are
     evaluated together by stacking them on a leading axis, which is
-    numerically identical to looping per head. Given rows (a (B, m) mask of
-    real positions, as real_rows makes it), x_q and the output are those
-    positions' rows only, (n_real, d_model); memory_rows says so of memory.
+    numerically identical to looping per head.
     """
     if x_q.shape[-1] != params.d_model:
         raise ShapeError(f"multi_head: input width {x_q.shape} != {params.d_model}")
     n = params.num_heads
-    if memory is None:
-        memory, memory_rows = x_q, rows
     q = _heads(x_q, params.wq, n, rows)
     k, v = _heads(memory, params.wk, n, memory_rows), _heads(memory, params.wv, n, memory_rows)
-    heads = swap_axes(attention(q, k, v, mask), -3, -2)  # (..., m, h, d_head)
-    if rows is not None:
-        heads = gather_rows(heads, rows)
+    heads = gather_rows(swap_axes(attention(q, k, v, mask), -3, -2), rows)  # (n_real, h, d_head)
     merged = reshape(heads, (*heads.shape[:-2], params.d_model))
     return matmul(merged, params.wo)
 
@@ -230,9 +229,9 @@ class _EncoderLayer:
         self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, make, f"{prefix}.ffn")
         self.rate = cfg.dropout
 
-    def __call__(self, x, mask, rng, rows=None) -> Tensor:
-        x = add(x, dropout(multi_head(self.ln1(x), self.attn, mask, rows=rows),
-                           self.rate, rng))
+    def __call__(self, x, rows, mask, rng) -> Tensor:
+        h = self.ln1(x)
+        x = add(x, dropout(multi_head(h, self.attn, mask, rows, h, rows), self.rate, rng))
         return add(x, dropout(self.ffn(self.ln2(x)), self.rate, rng))
 
 
@@ -248,12 +247,12 @@ class _DecoderLayer:
         self.ffn = _FeedForward(cfg.d_model, cfg.d_ff, make, f"{prefix}.ffn")
         self.rate = cfg.dropout
 
-    def __call__(self, x, enc_out, self_mask, cross_mask, rng, rows=None,
-                 src_rows=None) -> Tensor:
-        x = add(x, dropout(multi_head(self.ln1(x), self.self_attn, self_mask, rows=rows),
+    def __call__(self, x, rows, enc_out, src_rows, self_mask, cross_mask, rng) -> Tensor:
+        h = self.ln1(x)
+        x = add(x, dropout(multi_head(h, self.self_attn, self_mask, rows, h, rows),
                            self.rate, rng))
-        x = add(x, dropout(multi_head(self.ln2(x), self.cross_attn, cross_mask, enc_out,
-                                      rows, src_rows),
+        x = add(x, dropout(multi_head(self.ln2(x), self.cross_attn, cross_mask, rows, enc_out,
+                                      src_rows),
                            self.rate, rng))
         return add(x, dropout(self.ffn(self.ln3(x)), self.rate, rng))
 
@@ -285,11 +284,11 @@ class DecoderStepper:
 
     def __init__(self, model: "TransformerModel", enc_out: np.ndarray, src_ids: np.ndarray,
                  max_length: int):
-        """enc_out (1, m, d_model) is the encoder output of src_ids (1, m);
-        max_length bounds the steps."""
+        """enc_out (m, d_model) is the encoder output of src_ids (1, m), every
+        position real; max_length bounds the steps."""
         if len(src_ids) != 1:
             raise ShapeError(f"the decoder steps over one source, got {len(src_ids)}")
-        cfg, dtype, enc = model.config, enc_out.dtype, enc_out[0]
+        cfg, dtype = model.config, enc_out.dtype
         self.model, self.length, self.max_length = model, 0, max_length
         self.kv = self.self_mask = None  # (rows, *kv_shape), (rows, 1, 1, max_length)
         heads, d_head = cfg.num_heads, cfg.d_model // cfg.num_heads
@@ -304,7 +303,8 @@ class DecoderStepper:
         self.layers = []
         for layer in model.dec_layers:
             attn, cross, ffn = layer.self_attn, layer.cross_attn, layer.ffn
-            cross_kv = enc @ np.concatenate([cross.wk.data, cross.wv.data], axis=1, dtype=dtype)
+            cross_kv = enc_out @ np.concatenate([cross.wk.data, cross.wv.data], axis=1,
+                                                dtype=dtype)
             cross_kv = cross_kv.reshape(-1, 2, heads, d_head)  # (m, [k|v], h, d_head)
             self.layers.append((
                 *folded(layer.ln1, [attn.wq.data, attn.wk.data, attn.wv.data]),
@@ -434,15 +434,6 @@ class TransformerModel:
         """(t, t) mask: the query at position i sees keys 0 .. i."""
         return np.triu(np.full((t, t), MASK_VALUE, self.dtype), k=1)
 
-    @staticmethod
-    def _as_batch(ids) -> tuple[np.ndarray, bool]:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim == 1:
-            return ids[None, :], True
-        if ids.ndim == 2:
-            return ids, False
-        raise ShapeError(f"token ids must be 1-d or 2-d, got shape {ids.shape}")
-
     def _check_ids(self, ids: np.ndarray, what: str, length: int | None = None) -> None:
         """ids are in the vocabulary, and a sequence length (ids.shape[-1])
         long fits the position table."""
@@ -458,77 +449,74 @@ class TransformerModel:
             )
 
     @staticmethod
-    def _real_rows(ids: np.ndarray, lengths) -> np.ndarray | None:
-        """real_rows of ids (B, t) whose rows are lengths long; None without
-        lengths. A real position must see no later one: those are [PAD] keys
-        or, in the decoder, causally hidden."""
-        if lengths is None:
-            return None
-        rows = real_rows(lengths, ids.shape[1])
-        if rows.shape != ids.shape or (np.asarray(lengths) > ids.shape[1]).any():
+    def _real_rows(ids: np.ndarray, lengths) -> np.ndarray:
+        """real_rows of ids (B, t) whose rows are lengths long. A real position
+        must see no later one: those are [PAD] keys or, in the decoder,
+        causally hidden."""
+        lengths = np.asarray(lengths)
+        if ids.ndim != 2 or lengths.shape != ids.shape[:1] or (lengths > ids.shape[1]).any():
             raise ShapeError(f"lengths {lengths} do not fit ids of shape {ids.shape}")
-        return rows
+        return real_rows(lengths, ids.shape[1])
 
-    def _embed_sequence(self, ids: np.ndarray, rng, rows=None) -> Tensor:
+    def _embed_sequence(self, ids: np.ndarray, rows: np.ndarray, rng) -> Tensor:
+        """The scaled embeddings plus positions of ids' real positions, rows."""
         # A float64 scalar or table would promote a float32 sum (NEP 50).
         dtype = self.dtype
-        pos = self.positions.data[: ids.shape[-1]]
-        if rows is not None:
-            ids, pos = ids[rows], pos[np.nonzero(rows)[1]]
-        x = mul(embedding(self.embed, ids), dtype.type(np.sqrt(self.config.d_model)))
+        pos = self.positions.data[np.nonzero(rows)[1]]
+        x = mul(embedding(self.embed, ids[rows]), dtype.type(np.sqrt(self.config.d_model)))
         pos = Tensor(pos.astype(dtype, copy=False))
         return dropout(add(x, pos), self.config.dropout, rng)
 
     # -- forward passes --------------------------------------------------
 
-    def encode(self, input_ids, rng=None, lengths=None) -> tuple[Tensor, np.ndarray]:
-        """Returns (encoder output, batched input ids): (B, m, d_model), or,
-        given each row's real length, the real positions' rows only,
-        (n_real, d_model) in row order; only attention sees the padding."""
-        ids, _ = self._as_batch(input_ids)
+    def encode(self, input_ids, lengths, rng=None) -> Tensor:
+        """The encoder output of input_ids (B, m) whose rows are lengths long:
+        (n_real, d_model); only attention sees the padding."""
+        ids = np.asarray(input_ids, dtype=np.int64)
         self._check_ids(ids, "input")
         rows = self._real_rows(ids, lengths)
         # Without a [PAD] the mask would add zeros.
         mask = self._pad_mask(ids) if (ids == self.config.pad_id).any() else None
-        x = self._embed_sequence(ids, rng, rows)
+        x = self._embed_sequence(ids, rows, rng)
         for layer in self.enc_layers:
-            x = layer(x, mask, rng, rows)
-        return self.enc_norm(x), ids
+            x = layer(x, rows, mask, rng)
+        return self.enc_norm(x)
 
-    def decode(self, enc_out: Tensor, src_ids: np.ndarray, dec_input_ids, rng=None,
-               lengths=None, src_lengths=None) -> Tensor:
+    def decode(self, enc_out: Tensor, src_ids, dec_input_ids, src_lengths, lengths,
+               rng=None) -> Tensor:
         """Teacher-forced decoder pass from position 0: next-token logits,
-        (k, t, V), for every position of dec_input_ids (k, t).
+        (n_real, V), for the real positions of dec_input_ids (k, t) whose
+        rows are lengths long. enc_out is encode's output for src_ids and
+        src_lengths.
 
         Decoder self-attention is causally masked; [PAD] positions of both
-        streams are hidden as attention keys. Given each row's real length,
-        the logits are the real positions' rows only, (n_real, V) in row
-        order; given src_lengths, enc_out is encode's output for them.
-        Search steps the decoder one position at a time through stepper
-        instead.
+        streams are hidden as attention keys. Search steps the decoder one
+        position at a time through stepper instead.
         """
-        dec_ids, squeeze = self._as_batch(dec_input_ids)
+        dec_ids, src_ids = (np.asarray(a, dtype=np.int64) for a in (dec_input_ids, src_ids))
         self._check_ids(dec_ids, "decoder input")
         rows, src_rows = self._real_rows(dec_ids, lengths), self._real_rows(src_ids, src_lengths)
         self_mask = self._causal_mask(dec_ids.shape[-1]) + self._pad_mask(dec_ids)
         cross_mask = self._pad_mask(src_ids)
-        x = self._embed_sequence(dec_ids, rng, rows)
+        x = self._embed_sequence(dec_ids, rows, rng)
         for layer in self.dec_layers:
-            x = layer(x, enc_out, self_mask, cross_mask, rng, rows, src_rows)
+            x = layer(x, rows, enc_out, src_rows, self_mask, cross_mask, rng)
         x = self.dec_norm(x)
-        logits = matmul(x, transpose(self.embed) if self.out_proj is None else self.out_proj)
-        if squeeze and rows is None:
-            logits = reshape(logits, logits.shape[1:])
-        return logits
+        return matmul(x, transpose(self.embed) if self.out_proj is None else self.out_proj)
 
     def stepper(self, enc_out: np.ndarray, src_ids: np.ndarray,
                 max_length: int) -> DecoderStepper:
         return DecoderStepper(self, enc_out, src_ids, max_length)
 
     def forward(self, input_ids, dec_input_ids, rng=None) -> Tensor:
-        """Full pass: logits over the vocabulary for every decoder position."""
-        enc_out, src_ids = self.encode(input_ids, rng)
-        return self.decode(enc_out, src_ids, dec_input_ids, rng)
+        """Full pass with every position real: logits over the vocabulary,
+        (..., t, V), for each position of dec_input_ids (..., t), 1-d or 2-d."""
+        dec_ids = np.asarray(dec_input_ids, dtype=np.int64)
+        src, dec = np.atleast_2d(input_ids), np.atleast_2d(dec_ids)
+        src_lengths = [src.shape[1]] * len(src)
+        enc_out = self.encode(src, src_lengths, rng)
+        logits = self.decode(enc_out, src, dec, src_lengths, [dec.shape[1]] * len(dec), rng)
+        return reshape(logits, (*dec_ids.shape, -1))
 
     # -- persistence ------------------------------------------------------
 

@@ -192,9 +192,9 @@ def train_step(model: TransformerModel, batch, state: TrainState,
     params = model.parameters()
     with compute_copies(params, compute_dtype):
         try:
-            enc_out, src_ids = model.encode(inputs, enc_rng, in_lengths)
-            logits = model.decode(enc_out, src_ids, targets[:, :-1], dec_rng, dec_lengths,
-                                  in_lengths)
+            enc_out = model.encode(inputs, in_lengths, enc_rng)
+            logits = model.decode(enc_out, inputs, targets[:, :-1], in_lengths, dec_lengths,
+                                  dec_rng)
             step_loss = cross_entropy_with_logits(logits, gold, pad_id,
                                                   config.label_smoothing)
             value = step_loss.item()
@@ -290,9 +290,10 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
     Batches are drawn from non-empty buckets with probability proportional to
     bucket size. Metrics go to out_dir/metrics.jsonl, one record per step:
     step, bucket (its label), loss, lr, grad_norm (before clipping),
-    clipped (whether grad_norm exceeded clip_norm), real_tokens (the non-pad
-    input and target tokens), pad_fraction (the [PAD] share of the batch's
-    input and target matrices) and tokens_per_sec,
+    clipped (whether grad_norm exceeded clip_norm), real_tokens (the input
+    and target tokens within the rows' lengths, [PAD] ids there included),
+    pad_fraction (the share of the batch's input and target matrices past
+    those lengths) and tokens_per_sec,
     the one field that is not the same on every run; checkpoints
     land in out_dir/checkpoint every checkpoint_interval steps and at the
     end, once. A resumed run (state.step > 0) first drops the log's records of
@@ -325,7 +326,7 @@ def train(model: TransformerModel, buckets: list[Bucket], config: TrainConfig,
             started = time.perf_counter()
             value, grad_norm = train_step(model, batch, state, config)
             elapsed = max(time.perf_counter() - started, 1e-9)
-            tokens = int((batch[0] != pad_id).sum() + (batch[1] != pad_id).sum())
+            tokens = int(sum(lengths.sum() for lengths in batch.lengths))
             computed = batch[0].size + batch[1].size
             record = {
                 "step": state.step,

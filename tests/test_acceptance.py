@@ -147,8 +147,9 @@ def test_c05_attention_math():
     for w in (params.wq, params.wk, params.wv, params.wo):
         w.data = np.eye(d_model)
     x = Tensor(rng.normal(size=(5, d_model)))
+    rows = np.ones((1, 5), dtype=bool)  # one sequence, every position real
     reduction_err = float(
-        np.abs(multi_head(x, params).data - attention(x, x, x).data).max()
+        np.abs(multi_head(x, params, None, rows, x, rows).data - attention(x, x, x).data).max()
     )
     accept(
         "attention math",

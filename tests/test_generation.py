@@ -36,17 +36,19 @@ class TableModel:
 
     logits_table has shape (max positions, vocab) or (max positions, vocab,
     vocab); row t (and, for the second, the previous token) scores the token
-    at decoding position t. decode is teacher-forced from position 0, and
-    stepper steps one position at a time, like the real model's. It has no
-    parameters, and its encoder output is a placeholder.
+    at decoding position t. encode, decode and stepper take what the real
+    model's take: decode is teacher-forced from position 0 and returns the
+    real positions' rows, and stepper steps one position at a time. It has
+    no parameters, and its encoder output is a placeholder, one row per real
+    source position.
     """
 
     def __init__(self, logits_table, bos_id=2, eos_id=3, pad_id=0):
         self.table = np.asarray(logits_table, dtype=float)
         self.config = SimpleNamespace(bos_id=bos_id, eos_id=eos_id, pad_id=pad_id)
 
-    def encode(self, input_ids):
-        return Tensor(np.zeros((1, 1, 1))), np.asarray(input_ids)
+    def encode(self, input_ids, lengths, rng=None):
+        return Tensor(np.zeros((int(real_rows_of(input_ids, lengths).sum()), 1)))
 
     def logits(self, start, dec_ids):
         """The (k, t, vocab) logits of dec_ids (k, t) at positions start, start + 1, ..."""
@@ -56,11 +58,19 @@ class TableModel:
             return rows[np.arange(t), dec_ids]
         return np.broadcast_to(rows, (k, t, self.table.shape[-1]))
 
-    def decode(self, enc_out, src_ids, dec_input_ids):
-        return Tensor(self.logits(0, np.asarray(dec_input_ids)))
+    def decode(self, enc_out, src_ids, dec_input_ids, src_lengths, lengths, rng=None):
+        assert enc_out.shape[0] == real_rows_of(src_ids, src_lengths).sum()
+        rows = real_rows_of(dec_input_ids, lengths)
+        return Tensor(self.logits(0, np.asarray(dec_input_ids))[rows])
 
     def stepper(self, enc_out, src_ids, max_length):
         return TableStepper(self)
+
+
+def real_rows_of(ids, lengths):
+    """The real positions of ids (B, t) whose rows are lengths long, as the
+    model checks them."""
+    return TransformerModel._real_rows(np.asarray(ids), lengths)
 
 
 class TableStepper:
@@ -120,11 +130,13 @@ def reference_greedy(model, input_ids, max_length):
     go to the smallest token id, and the end marker is forced at max_length."""
     bos, eos = model.config.bos_id, model.config.eos_id
     with no_grad():
-        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
+        src_ids = np.asarray(input_ids, dtype=np.int64)[None]
+        enc_out = model.encode(src_ids, [src_ids.shape[1]])
         tokens, total = (), 0.0
         for position in range(max_length):
-            dec_in = np.array([bos, *tokens], dtype=np.int64)
-            row = model.decode(enc_out, src_ids, dec_in).data[-1]
+            dec_in = np.array([[bos, *tokens]], dtype=np.int64)
+            row = model.decode(enc_out, src_ids, dec_in, [src_ids.shape[1]],
+                               [dec_in.shape[1]]).data[-1]
             shifted = row - row.max()
             logp = shifted - np.log(np.exp(shifted).sum())
             token = eos if position == max_length - 1 else int(logp.argmax())
@@ -145,7 +157,8 @@ def reference_beam(model, input_ids, cfg):
     widths = (width,) if width == 1 else (width, 1)
     pools = [[] for _ in widths]
     with no_grad():
-        enc_out, src_ids = model.encode(np.asarray(input_ids, dtype=np.int64))
+        src_ids = np.asarray(input_ids, dtype=np.int64)[None]
+        enc_out = model.encode(src_ids, [src_ids.shape[1]])
         stepper = model.stepper(enc_out.data.astype(generation.COMPUTE_DTYPE), src_ids,
                                 cfg.max_length)
         live = [(search, (), 0.0) for search in range(len(widths))]
@@ -330,9 +343,9 @@ class TestBeamSearch:
         ids = np.array([4, 5, 6, 7])
         pool = beam_search(model, ids, cfg)
         for hyp in pool[:3]:
-            enc, src = model.encode(ids)
-            dec_in = np.array([model.config.bos_id, *hyp.tokens[:-1]])
-            logits = model.decode(enc, src, dec_in).data
+            enc = model.encode(ids[None], [len(ids)])
+            dec_in = np.array([[model.config.bos_id, *hyp.tokens[:-1]]])
+            logits = model.decode(enc, ids[None], dec_in, [len(ids)], [dec_in.shape[1]]).data
             total = 0.0
             for pos, token in enumerate(hyp.tokens):
                 row = logits[pos] - logits[pos].max()

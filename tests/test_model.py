@@ -132,6 +132,14 @@ class TestAttention:
                       Tensor(np.ones((5, 3))))
 
 
+def self_attention(x, params):
+    """multi_head's self-attention over x (B, m, d) or (m, d), every position
+    real, in x's layout."""
+    rows = np.ones(x.shape[:-1], dtype=bool).reshape(-1, x.shape[-2])
+    packed = Tensor(x.reshape(-1, x.shape[-1]))
+    return multi_head(packed, params, None, rows, packed, rows).data.reshape(x.shape)
+
+
 class TestMultiHead:
     def test_single_identity_head_reduces_to_attention(self):
         d = 6
@@ -141,16 +149,17 @@ class TestMultiHead:
         params.wk.data = np.eye(d)
         params.wv.data = np.eye(d)
         params.wo.data = np.eye(d)
-        x = Tensor(rng.normal(size=(5, d)))
-        got = multi_head(x, params)
-        want = attention(x, x, x)
-        np.testing.assert_allclose(got.data, want.data, atol=1e-12)
+        x = rng.normal(size=(5, d))
+        got = self_attention(x, params)
+        want = attention(Tensor(x), Tensor(x), Tensor(x))
+        np.testing.assert_allclose(got, want.data, atol=1e-12)
 
     def test_output_shape(self):
         rng = np.random.default_rng(5)
         params = MultiHeadParams(8, 4, ParameterMaker(rng), "t")
         x = Tensor(rng.normal(size=(3, 8)))
-        assert multi_head(x, params).shape == (3, 8)
+        rows = np.ones((1, 3), dtype=bool)
+        assert multi_head(x, params, None, rows, x, rows).shape == (3, 8)
 
     def test_two_heads_match_straight_line_evaluation(self):
         d, h = 4, 2
@@ -158,7 +167,7 @@ class TestMultiHead:
         rng = np.random.default_rng(6)
         params = MultiHeadParams(d, h, ParameterMaker(rng), "t")
         x = rng.normal(size=(2, d))
-        got = multi_head(Tensor(x), params).data
+        got = self_attention(x, params)
         heads = []
         for i in range(h):
             q = x @ params.wq.data[:, i * dh:(i + 1) * dh]
@@ -191,7 +200,8 @@ class TestMultiHead:
         params = MultiHeadParams(d, 2, ParameterMaker(rng), "t")
         x_q = Tensor(rng.normal(size=(3, d)))
         memory = Tensor(rng.normal(size=(5, d)))
-        out = multi_head(x_q, params, memory=memory)
+        out = multi_head(x_q, params, None, np.ones((1, 3), dtype=bool), memory,
+                         np.ones((1, 5), dtype=bool))
         assert out.shape == (3, d)
 
     def test_batched_equals_per_sequence(self):
@@ -199,9 +209,9 @@ class TestMultiHead:
         rng = np.random.default_rng(8)
         params = MultiHeadParams(d, 3, ParameterMaker(rng), "t")
         batch = rng.normal(size=(4, 5, d))
-        together = multi_head(Tensor(batch), params).data
+        together = self_attention(batch, params)
         for b in range(4):
-            alone = multi_head(Tensor(batch[b]), params).data
+            alone = self_attention(batch[b], params)
             np.testing.assert_allclose(together[b], alone, atol=1e-12)
 
 
@@ -215,6 +225,10 @@ class TestForward:
         model = TransformerModel(small_config(), seed=0)
         logits = model.forward(np.array([4, 5, 6]), np.array([2, 7]))
         assert logits.shape == (2, 16)
+        # Python lists, as perfbench's generate check passes them.
+        listed = model.forward([4, 5, 6], [2, 7])
+        assert listed.shape == (2, 16)
+        np.testing.assert_array_equal(listed.data, logits.data)
 
     def test_pad_tail_is_inert(self):
         """A [PAD]-only tail of any length must not influence the logits."""
@@ -267,8 +281,8 @@ def check_steps(model, src, steps, selections=(), dtype=np.float64, atol=1e-12):
     dtype and equal, within atol, the last position's of a float64
     teacher-forced decode of that row's whole prefix. Returns the stepper."""
     with no_grad():
-        enc_out, src_ids = model.encode(src)
-        stepper = model.stepper(enc_out.data.astype(dtype), src_ids, len(steps))
+        enc_out = model.encode(src, [src.shape[1]])
+        stepper = model.stepper(enc_out.data.astype(dtype), src, len(steps))
         prefixes = np.empty((len(steps[0]), 0), dtype=np.int64)
         for i, ids in enumerate(steps):
             if i:
@@ -276,7 +290,9 @@ def check_steps(model, src, steps, selections=(), dtype=np.float64, atol=1e-12):
                 prefixes = prefixes[selections[i - 1]]
             prefixes = np.concatenate([prefixes, np.asarray(ids)[:, None]], axis=1)
             got = stepper.step(ids)
-            want = model.decode(enc_out, src_ids, prefixes).data[:, -1]
+            k, t = prefixes.shape
+            want = model.decode(enc_out, src, prefixes, [src.shape[1]], [t] * k).data
+            want = want.reshape(k, t, -1)[:, -1]
             assert got.shape == (len(ids), model.config.vocab_size)
             assert got.dtype == dtype
             np.testing.assert_allclose(got, want, rtol=0, atol=atol)
@@ -372,7 +388,8 @@ class TestCachedDecode:
     def test_out_of_range_id_and_position_raise(self):
         model = TransformerModel(small_config(max_positions=3), seed=15)
         with no_grad():
-            enc_out, src_ids = model.encode([4, 5, 6])
+            src_ids = np.array([[4, 5, 6]])
+            enc_out = model.encode(src_ids, [3])
             stepper = model.stepper(enc_out.data, src_ids, 4)
             with pytest.raises(ShapeError, match=re.escape(
                     "decoder input id out of range [0, 16)")):
@@ -389,31 +406,35 @@ class TestCachedDecode:
                 stepper.step(np.array([2, 4]))
 
     def test_batch_rows_match_their_single_record_decode(self):
-        # Two records of different lengths, encoded and decoded as one
-        # padded batch: row i reads source i.
+        # Two records of different lengths, encoded as one padded batch into
+        # packed rows, each source's real rows in turn, and decoded with
+        # those rows and the sources' lengths: decoder row i reads source i.
         cfg = small_config()
         model = TransformerModel(cfg, seed=13)
         records = [[4, 5, 6, 7, 8], [9, 10, 11]]
+        lengths = [len(record) for record in records]
         src = np.full((2, 5), cfg.pad_id)
         for i, record in enumerate(records):
             src[i, : len(record)] = record
         dec_in = np.random.default_rng(6).integers(4, cfg.vocab_size, size=(2, 3))
         dec_in[:, 0] = cfg.bos_id
         with no_grad():
-            enc_out, src_ids = model.encode(src)
-            got = model.decode(enc_out, src_ids, dec_in).data
+            enc_out = model.encode(src, lengths)
+            assert enc_out.shape == (sum(lengths), cfg.d_model)
+            got = model.decode(enc_out, src, dec_in, lengths, [3, 3]).data
             for i, record in enumerate(records):
-                one_out, one_ids = model.encode(record)
-                want = model.decode(one_out, one_ids, dec_in[i:i + 1]).data
-                np.testing.assert_allclose(got[i], want[0], rtol=0, atol=1e-12)
+                one_ids = np.array([record])
+                one_out = model.encode(one_ids, [len(record)])
+                want = model.decode(one_out, one_ids, dec_in[i:i + 1], [len(record)], [3]).data
+                np.testing.assert_allclose(got[3 * i: 3 * i + 3], want, rtol=0, atol=1e-12)
 
     def test_stepper_takes_only_one_source(self):
         model = TransformerModel(small_config(), seed=12)
         src = np.array([[4, 5, 6], [7, 8, model.config.pad_id]])
         with no_grad():
-            enc_out, src_ids = model.encode(src)
+            enc_out = model.encode(src, [3, 2])
             with pytest.raises(ShapeError, match="one source"):
-                model.stepper(enc_out.data, src_ids, 4)
+                model.stepper(enc_out.data, src, 4)
 
 
 class TestModelGradients:
@@ -462,7 +483,8 @@ class TestFusedAttentionInModel:
 
 class TestRealRows:
     """Given each row's real length, encode and decode compute only those
-    positions' rows, and at float64 each equals the padded pass's row."""
+    positions' rows, and at float64 each equals the row of the pass whose
+    every position is real (forward's)."""
 
     def test_lengths_not_pad_ids_pick_the_rows(self):
         cfg = small_config()
@@ -476,21 +498,28 @@ class TestRealRows:
         dec[:, 0] = cfg.bos_id
         # [PAD] ids inside rows too, as a random model decodes them.
         src[0, 3] = dec[1, 2] = dec[1, 4] = cfg.pad_id
-        enc_out, ids = model.encode(src)
-        padded = model.decode(enc_out, ids, dec).data
-        packed_enc, _ = model.encode(src, lengths=src_lengths)
-        np.testing.assert_allclose(packed_enc.data, enc_out.data[src_rows], rtol=0, atol=1e-12)
-        for memory, memory_lengths in ((enc_out, None), (packed_enc, src_lengths)):
-            packed = model.decode(memory, ids, dec, lengths=dec_lengths,
-                                  src_lengths=memory_lengths).data
+        full = np.full(5, 7)
+        enc_out = model.encode(src, full)
+        padded = model.forward(src, dec).data
+        packed_enc = model.encode(src, src_lengths)
+        np.testing.assert_allclose(packed_enc.data, enc_out.data.reshape(5, 7, -1)[src_rows],
+                                   rtol=0, atol=1e-12)
+        for memory, memory_lengths in ((enc_out, full), (packed_enc, src_lengths)):
+            packed = model.decode(memory, src, dec, memory_lengths, dec_lengths).data
             np.testing.assert_allclose(packed, padded[dec_rows], rtol=0, atol=1e-12)
 
     def test_lengths_must_fit_the_ids(self):
         model = TransformerModel(small_config(), seed=33)
         with pytest.raises(ShapeError, match="do not fit"):
-            model.encode(np.ones((2, 3), np.int64), lengths=[3, 4])
+            model.encode(np.ones((2, 3), np.int64), [3, 4])
         with pytest.raises(ShapeError, match="do not fit"):
-            model.encode(np.ones((2, 3), np.int64), lengths=[3])
+            model.encode(np.ones((2, 3), np.int64), [3])
+        with pytest.raises(ShapeError, match="do not fit"):
+            model.encode(np.ones(3, np.int64), [3])
+        src = np.ones((1, 3), np.int64)
+        enc_out = model.encode(src, [3])
+        with pytest.raises(ShapeError, match="do not fit"):
+            model.decode(enc_out, src, np.ones((1, 2), np.int64), [3], [3])
 
 
 class TestGradientBuffers:

@@ -800,9 +800,13 @@ class TestRecordedGraphHolds:
                    + norm(B * T) + f * B * H * T * S + f * B * T * D
                    + 2 * f * B * S * D + f * B * T * D + B * T * D  # cross-attention
                    + norm(B * T) + f * B * T * FF + B * T * D)  # feed-forward
+        # Each stack's real-row masks, which scatter and gather keep: the
+        # encoder's, and the decoder's own and its source's.
+        rows = B * S + B * T + B * S
         want = (n * B * S + f + B * S * D            # ids, sqrt(d), dropout mask
                 + 2 * encoder + norm(B * S)          # layers, final norm + output
                 + n * B * T + f + B * T * D
                 + 2 * decoder + norm(B * T)
-                + f * B * T * V + 2 * n * B * T + B * T)  # log-probs, targets, valid
+                + f * B * T * V + 2 * n * B * T + B * T  # log-probs, targets, valid
+                + rows)
         assert got == want

@@ -570,6 +570,19 @@ class TestTrainLoop:
             runs.append(records)
         assert runs[0] == runs[1]
 
+    def test_real_tokens_are_the_rows_lengths(self, tmp_path):
+        # A hand-made cache may hold the [PAD] id mid-row, where it is a real
+        # token. Inputs of 5 and 3 ids and targets of 4 and 5 ids, three
+        # [PAD]s among them, fill 17 of the batch's 2x5 + 2x5 positions.
+        rows = [([4, 0, 5, 6, 7], [2, 0, 5, 3]), ([4, 0, 5], [2, 5, 6, 7, 3])]
+        examples = [InvertedExample(f"p{i}", ids, tgt) for i, (ids, tgt) in enumerate(rows)]
+        cfg = TrainConfig(total_steps=2, warmup_steps=1, batch_size=2)
+        train(tiny_model(seed=9), [Bucket(6, 6, examples)], cfg, tmp_path / "run")
+        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        for r in map(json.loads, lines):
+            assert r["real_tokens"] == 17
+            assert r["pad_fraction"] == pytest.approx(3 / 20, abs=1e-15)
+
     def test_row_lengths_do_not_change_the_batch_sequence(self, tmp_path):
         """Two caches whose buckets hold as many rows, but rows of other
         lengths, draw the same buckets step after step with dropout on."""
